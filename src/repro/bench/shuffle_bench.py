@@ -18,6 +18,11 @@ Two measurements back the out-of-core path's perf story:
   shuffle with a buffer small enough to force multi-run merges, divided
   by the same build on the in-memory shuffle.  This is the price of
   bounding driver memory; the guard keeps it from silently exploding.
+* **Byte sizing** — :func:`repro.mapreduce.serde.records_size`, the
+  columnar sizer the runtime charges every task output with, against
+  the per-record ``record_size`` sum it replaces, over the same two
+  shapes.  Both must return the same total; the speedup is what the
+  regression guard pins.
 
 Results land in ``BENCH_shuffle.json`` at the repo root (written by
 ``benchmarks/bench_shuffle.py``) — the baseline future PRs diff against.
@@ -37,13 +42,14 @@ import numpy as np
 from repro.core.dgreedy import d_greedy_abs
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.runtime import LocalRuntime
-from repro.mapreduce.serde import decode_batch, encode_batch
+from repro.mapreduce.serde import decode_batch, encode_batch, record_size, records_size
 from repro.mapreduce.shuffle import ShuffleConfig
 
 __all__ = [
     "SHUFFLE_BATCH_SIZES",
     "bench_codec_batches",
     "bench_external_overhead",
+    "bench_sizing",
     "numeric_shaped_records",
     "shuffle_shaped_records",
 ]
@@ -139,6 +145,43 @@ def bench_codec_batches(
                     "columnar_bytes": encoded_bytes,
                     "pickle_bytes": pickled_bytes,
                     "bytes_ratio": pickled_bytes / encoded_bytes,
+                }
+            )
+    return rows
+
+
+def bench_sizing(
+    sizes: Sequence[int] | None = None, reps: int = 3, seed: int = 7
+) -> list[dict[str, Any]]:
+    """Benchmark columnar ``records_size`` vs the per-record ``record_size`` sum.
+
+    Returns one dict per ``(shape, size)`` pair.  Fails if the two totals
+    ever differ: a fast sizer that charges different bytes would move
+    every Eq. 6 check.
+    """
+    if sizes is None:
+        sizes = SHUFFLE_BATCH_SIZES
+    rows = []
+    for shape, make_records in _SHAPES.items():
+        for size in sizes:
+            records = make_records(size, seed)
+            columnar_seconds = scalar_seconds = float("inf")
+            for _ in range(reps):
+                start = time.perf_counter()
+                columnar = records_size(records)
+                columnar_seconds = min(columnar_seconds, time.perf_counter() - start)
+                start = time.perf_counter()
+                scalar = sum(record_size(key, value) for key, value in records)
+                scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
+            assert columnar == scalar, (shape, size, columnar, scalar)
+            rows.append(
+                {
+                    "shape": shape,
+                    "records": size,
+                    "columnar_seconds": columnar_seconds,
+                    "scalar_seconds": scalar_seconds,
+                    "speedup": scalar_seconds / columnar_seconds,
+                    "modeled_bytes": columnar,
                 }
             )
     return rows

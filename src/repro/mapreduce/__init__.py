@@ -36,6 +36,7 @@ from repro.mapreduce.serde import (
     encode_batch,
     estimate_size,
     record_size,
+    records_size,
 )
 from repro.mapreduce.shuffle import (
     DEFAULT_BUFFER_BYTES,
@@ -98,5 +99,6 @@ __all__ = [
     "price_log",
     "speculative_makespan",
     "record_size",
+    "records_size",
     "stable_partition",
 ]

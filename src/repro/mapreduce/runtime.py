@@ -47,7 +47,7 @@ from repro.exceptions import JobFailedError
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import InputSplit
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.serde import record_size
+from repro.mapreduce.serde import records_size
 from repro.mapreduce.shuffle import ShuffleBase, ShuffleConfig, make_shuffle
 from repro.mapreduce.tracing import (
     AttemptSpan,
@@ -153,8 +153,8 @@ class MapTaskResult:
     ``map_records``/``map_bytes`` describe what the *map function* emitted
     before the combiner ran — the combine stage's input.  When no combiner
     runs, ``map_bytes`` is None and the driver reuses the shuffle-byte
-    walk it performs anyway (identical by definition), keeping the
-    no-combiner hot path free of a second serialization pass.
+    total it computes anyway (identical by definition), keeping the
+    no-combiner hot path free of a second sizing pass.
     """
 
     output: list[tuple[Any, Any]]
@@ -170,7 +170,7 @@ def run_map_task(job: MapReduceJob, split: InputSplit) -> MapTaskResult:
     # Serializing the pre-combine emission is part of the task's real
     # work on Hadoop (map output is materialized before the combiner),
     # so measuring it inside the timed region is faithful.
-    map_bytes = sum(record_size(key, value) for key, value in output)
+    map_bytes = records_size(output)
     combined = apply_combiner(job, output)
     return MapTaskResult(output=combined, map_records=len(output), map_bytes=map_bytes)
 
@@ -322,8 +322,7 @@ class LocalRuntime:
         # stops the zip also resumes (and so finishes) the generator,
         # closing any worker pool its hooks hold open.
         for (task, span), split in zip(self._execute_map_tasks(job, splits), splits):
-            sizes = [record_size(key, value) for key, value in task.output]
-            task_bytes = sum(sizes)
+            task_bytes = records_size(task.output)
             input_records += len(split)
             counters.increment("map.input_records", len(split))
             counters.increment("map.output_records", len(task.output))
@@ -341,7 +340,7 @@ class LocalRuntime:
             if shuffle is None:
                 all_map_output.extend(task.output)
             else:
-                shuffle.add_records(task.output, sizes)
+                shuffle.add_records(task.output, task_bytes)
                 task.output = []  # the shuffle owns the records now
         counters.increment("shuffle.bytes", shuffle_bytes)
 
@@ -405,7 +404,7 @@ class LocalRuntime:
             counters.increment("reduce.input_records", len(partition))
             counters.increment("reduce.output_records", len(output))
             span.records_out = len(output)
-            span.bytes_out = sum(record_size(key, value) for key, value in output)
+            span.bytes_out = records_size(output)
             reduce_bytes += span.bytes_out
             reduce_spans.append(span)
             final_output.extend(output)

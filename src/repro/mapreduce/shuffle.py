@@ -103,10 +103,13 @@ class ShuffleBase:
         #: in-memory and external runs keep bit-identical counters/traces).
         self.stats: dict[str, int] = {}
 
-    def add_records(
-        self, records: list[tuple[Any, Any]], modeled_sizes: list[int]
-    ) -> None:
-        """Accept one map task's (post-combine) output, in emission order."""
+    def add_records(self, records: list[tuple[Any, Any]], modeled_bytes: int) -> None:
+        """Accept one map task's (post-combine) output, in emission order.
+
+        ``modeled_bytes`` is the output's serde-model total
+        (:func:`repro.mapreduce.serde.records_size`), which the driver has
+        already computed for its own accounting.
+        """
         raise NotImplementedError
 
     def partitions(self) -> list[list[tuple[Any, Any]]]:
@@ -126,9 +129,7 @@ class MemoryShuffle(ShuffleBase):
             [] for _ in range(self.num_reducers)
         ]
 
-    def add_records(
-        self, records: list[tuple[Any, Any]], modeled_sizes: list[int]
-    ) -> None:
+    def add_records(self, records: list[tuple[Any, Any]], modeled_bytes: int) -> None:
         partition = self.job.partition
         for key, value in records:
             self._partitions[partition(key, self.num_reducers)].append((key, value))
@@ -181,13 +182,11 @@ class ExternalShuffle(ShuffleBase):
             reverse=self.job.sort_descending,
         )
 
-    def add_records(
-        self, records: list[tuple[Any, Any]], modeled_sizes: list[int]
-    ) -> None:
+    def add_records(self, records: list[tuple[Any, Any]], modeled_bytes: int) -> None:
         partition = self.job.partition
-        for record, size in zip(records, modeled_sizes):
+        for record in records:
             self._buffers[partition(record[0], self.num_reducers)].append(record)
-            self._buffered_bytes += size
+        self._buffered_bytes += modeled_bytes
         if self._buffered_bytes >= self.config.buffer_bytes:
             self._spill()
 

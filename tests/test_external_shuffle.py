@@ -19,6 +19,10 @@ Four families:
   directories vanish on success, on retried task failures, and on job
   abort, across all three runtimes; no orphans ever remain in the
   configured spill dir.
+* **Byte accounting** — on every runtime and shuffle, the driver's
+  columnar byte totals (shuffle bytes, counters, stage and task
+  ``bytes_out``, modeled spill bytes) equal the per-record
+  ``record_size`` sums recomputed from the map outputs.
 """
 
 from __future__ import annotations
@@ -48,8 +52,10 @@ from repro.mapreduce import (
     decode_batch,
     encode_batch,
     make_runtime,
+    record_size,
 )
 from repro.mapreduce.parallel import ThreadSafeFailureInjector
+from repro.mapreduce.runtime import apply_combiner
 from repro.mapreduce.shuffle import ExternalShuffle, MemoryShuffle, make_shuffle
 
 
@@ -150,7 +156,7 @@ class TestMergeSemantics:
         # buffer-full check runs once per add_records call.
         for start in range(0, len(records), chunk):
             batch = records[start : start + chunk]
-            shuffle.add_records(batch, [1] * len(batch))
+            shuffle.add_records(batch, len(batch))
         try:
             return shuffle.partitions()
         finally:
@@ -398,3 +404,110 @@ class TestSpillCleanup:
         with pytest.raises(JobFailedError):
             self.run_job(runtime, tmp_path)
         self.assert_empty(tmp_path)
+
+
+class HistogramShaped(MapReduceJob):
+    """Toy job emitting DGreedyAbs job-1 shaped records.
+
+    Keys interleave 4-tuple ``hist`` and 3-tuple ``final`` records; values
+    interleave ``(count, cut_error)`` tuples and floats.  Repeated keys
+    inside a split give the optional combiner something to merge.
+    """
+
+    name = "histogram-shaped"
+    num_reducers = 3
+
+    def __init__(self, use_combiner=False):
+        self.use_combiner = use_combiner
+
+    def map(self, split):
+        for value in split.values:
+            candidate = int(value) % 5
+            bucket = float(int(value) % 3) / 4
+            key = ("hist", candidate, split.split_id, bucket)
+            yield key, (int(value) % 7, value / 3)
+            if int(value) % 4 == 0:
+                yield ("final", candidate, split.split_id), value / 5
+
+    def combine(self, key, values):
+        yield key, values[-1]
+
+    def partition(self, key, num_reducers):
+        return key[1] % num_reducers
+
+    def reduce(self, key, values):
+        yield key, values[0]
+        if key[0] == "final":
+            yield key[1], len(values) > 1
+
+
+def _sizes(records):
+    return sum(record_size(key, value) for key, value in records)
+
+
+class TestByteAccountingOracle:
+    """Columnar driver byte totals == per-record ``record_size`` sums."""
+
+    #: Trips every few map tasks and leaves an unspilled tail.
+    BUFFER_BYTES = 4000
+
+    def expected(self, job, splits):
+        emitted = [list(job.map(split)) for split in splits]
+        shuffled = (
+            [apply_combiner(job, output) for output in emitted]
+            if job.use_combiner
+            else emitted
+        )
+        map_task_bytes = [_sizes(output) for output in emitted]
+        shuffle_task_bytes = [_sizes(output) for output in shuffled]
+        # The external shuffle checks its buffer once per map task and
+        # spills everything buffered when the check trips.
+        spilled = buffered = 0
+        for task_bytes in shuffle_task_bytes:
+            buffered += task_bytes
+            if buffered >= self.BUFFER_BYTES:
+                spilled += buffered
+                buffered = 0
+        return map_task_bytes, sum(shuffle_task_bytes), spilled
+
+    @pytest.mark.parametrize("use_combiner", [False, True])
+    @pytest.mark.parametrize("shuffle", ["memory", "external", "external-spill"])
+    @pytest.mark.parametrize("runtime_name", ["local", "threads", "process"])
+    def test_driver_bytes_match_scalar_sums(self, runtime_name, shuffle, use_combiner):
+        config = {
+            "memory": None,
+            "external": ShuffleConfig(mode="external"),
+            "external-spill": ShuffleConfig(
+                mode="external", buffer_bytes=self.BUFFER_BYTES
+            ),
+        }[shuffle]
+        job = HistogramShaped(use_combiner=use_combiner)
+        splits = toy_splits(n=512, split=32)
+        result = make_runtime(runtime_name, shuffle=config).run(job, splits)
+        map_task_bytes, shuffle_bytes, spilled = self.expected(job, splits)
+
+        assert result.shuffle_bytes == shuffle_bytes
+        assert result.counters["shuffle.bytes"] == shuffle_bytes
+        stages = {stage.name: stage for stage in result.trace.stages}
+        assert [task.bytes_out for task in stages["map"].tasks] == map_task_bytes
+        assert stages["map"].bytes_out == sum(map_task_bytes)
+        if use_combiner:
+            assert stages["combine"].bytes_out == shuffle_bytes
+            assert sum(map_task_bytes) > shuffle_bytes
+        else:
+            assert "combine" not in stages
+        assert stages["shuffle"].bytes_out == shuffle_bytes
+        assert [task.bytes_out for task in stages["reduce"].tasks] == [
+            _sizes(output) for output in result.reducer_outputs
+        ]
+        assert stages["reduce"].bytes_out == _sizes(result.output)
+
+        if shuffle == "memory":
+            assert result.shuffle_stats == {}
+        else:
+            assert result.shuffle_stats["spilled_bytes_modeled"] == (
+                spilled if shuffle == "external-spill" else 0
+            )
+        if shuffle == "external-spill":
+            assert result.shuffle_stats["spills"] > 1
+            assert 0 < spilled < shuffle_bytes

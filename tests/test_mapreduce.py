@@ -1,8 +1,13 @@
 """Unit and integration tests for the MapReduce substrate."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.algos.minhaarspace import MRow
 from repro.exceptions import InvalidInputError, JobFailedError, MemoryBudgetExceeded
 from repro.mapreduce import (
     ClusterConfig,
@@ -18,6 +23,7 @@ from repro.mapreduce import (
     estimate_size,
     makespan,
     record_size,
+    records_size,
     stable_partition,
 )
 
@@ -89,10 +95,159 @@ class TestSerde:
     def test_record_size(self):
         assert record_size(1, (2, 3)) == 4 + (4 + 8)
 
+    def test_bytes_like_payloads_charge_their_length(self):
+        # Regression: bytearray and memoryview used to fall through to the
+        # 8-byte unknown-scalar default.
+        assert estimate_size(b"abc") == 3
+        assert estimate_size(bytearray(1000)) == 1000
+        assert estimate_size(memoryview(bytes(64))) == 64
+        # A memoryview's byte length is nbytes, not its element count.
+        assert estimate_size(memoryview(np.zeros(10))) == 80
+
     def test_histogram_value_smaller_than_list(self):
         # The premise of ErrHistGreedyAbs: an int is cheaper than the list.
         node_list = list(range(100))
         assert estimate_size(len(node_list)) < estimate_size(node_list)
+
+
+Pair = namedtuple("Pair", "left right")
+
+
+class Payload:
+    """A plain object: sized through its ``__dict__``."""
+
+    def __init__(self, label, weight):
+        self.label = label
+        self.weight = weight
+
+    def __repr__(self):
+        return f"Payload({self.label!r}, {self.weight!r})"
+
+
+def _object_array(items):
+    array = np.empty(len(items), dtype=object)
+    for index, item in enumerate(items):
+        array[index] = item
+    return array
+
+
+def _mrow(entries):
+    return MRow(
+        start=0,
+        counts=np.arange(entries, dtype=np.int64),
+        errors=np.zeros(entries),
+        choices=np.full(entries, -1, dtype=np.int64),
+    )
+
+
+_hashables = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+)
+
+_scalars = st.one_of(
+    _hashables,
+    # bool next to int, and ints far beyond int64.
+    st.integers(min_value=1 << 63, max_value=1 << 90),
+    st.integers(min_value=-(1 << 90), max_value=-(1 << 63)),
+    # numpy scalars are subclasses (np.float64 of float, np.str_ of str).
+    st.floats().map(np.float64),
+    st.integers(-(1 << 63), (1 << 63) - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.text(max_size=6).map(np.str_),
+    # Non-ASCII and empty strings (lone surrogates have no UTF-8 size).
+    st.text(
+        alphabet=st.characters(min_codepoint=0x80, exclude_categories=("Cs",)),
+        max_size=6,
+    ),
+    st.just(""),
+    st.binary(max_size=8),
+    st.binary(max_size=8).map(bytearray),
+    st.binary(max_size=8).map(memoryview),
+    st.lists(st.floats(), max_size=5).map(np.array),
+    st.lists(st.integers(-1000, 1000), max_size=5).map(
+        lambda values: np.array(values, dtype=np.int32)
+    ),
+    st.integers(0, 4).map(_mrow),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4),
+        st.dictionaries(_hashables, children, max_size=3),
+        st.sets(_hashables, max_size=3),
+        st.frozensets(_hashables, max_size=3),
+        st.lists(children, max_size=3).map(_object_array),
+        st.builds(Pair, children, children),
+        st.builds(Payload, st.text(max_size=4), children),
+    )
+
+
+_hostile_values = st.recursive(_scalars, _containers, max_leaves=8)
+
+#: DGreedyAbs job-1 traffic: 4-tuple ``hist`` keys with ``(count,
+#: cut_error)`` values interleaved with 3-tuple ``final`` keys with float
+#: values — mixed arities in the keys, mixed types in the values.
+_histogram_records = st.one_of(
+    st.tuples(
+        st.tuples(st.just("hist"), st.integers(), st.integers(), st.floats()),
+        st.tuples(st.integers(), st.floats()),
+    ),
+    st.tuples(st.tuples(st.just("final"), st.integers(), st.integers()), st.floats()),
+)
+
+_batches = st.one_of(
+    st.lists(st.tuples(_hostile_values, _hostile_values), max_size=25),
+    st.lists(_histogram_records, max_size=60),
+    # Homogeneous columns: the width-times-count path.
+    st.lists(st.tuples(st.integers(), st.floats()), max_size=60),
+    st.lists(st.tuples(st.booleans(), st.none()), max_size=60),
+    st.lists(st.tuples(st.text(max_size=6), st.binary(max_size=6)), max_size=60),
+)
+
+
+def _scalar_sum(records):
+    return sum(record_size(key, value) for key, value in records)
+
+
+class TestRecordsSize:
+    """``records_size`` is the per-record ``record_size`` sum, exactly."""
+
+    @given(_batches)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_record_size_sum(self, records):
+        assert records_size(records) == _scalar_sum(records)
+
+    def test_empty_batch(self):
+        assert records_size([]) == 0
+
+    def test_exact_type_dispatch(self):
+        records = [
+            (True, 1),
+            (1, True),
+            (np.float64(1.5), 1.5),
+            (np.str_("é"), "é"),
+            (Pair(1, 2.0), (1, 2.0)),
+            (1 << 80, None),
+        ]
+        assert records_size(records) == _scalar_sum(records) == (
+            (1 + 4) + (4 + 1) + (8 + 8) + (2 + 2) + (16 + 16) + (4 + 1)
+        )
+
+    def test_mixed_arity_tuples_and_mixed_values(self):
+        records = [
+            (("hist", 3, 5, 0.25), (2, 0.5)),
+            (("final", 3, 5), 0.75),
+            (("hist", 4, 5, 0.5), (1, 0.25)),
+        ]
+        hist = 4 + 4 + 4 + 4 + 8 + (4 + 4 + 8)
+        final = 4 + 5 + 4 + 4 + 8
+        assert records_size(records) == _scalar_sum(records) == 2 * hist + final
 
 
 class TestCounters:
