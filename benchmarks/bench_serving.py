@@ -1,8 +1,9 @@
 """Perf-regression benchmark for the online AQP serving layer.
 
 Times incremental append (dirty-sub-tree re-thresholding) against a
-from-scratch rebuild on both maintenance tiers, and batched query
-throughput against a store holding millions of keys, writing
+from-scratch rebuild on both maintenance tiers, batched query
+throughput against a store holding millions of keys, and the cost of
+one reconstruction-cache miss as the synopsis grows, writing
 ``BENCH_serving.json`` at the repo root — the baseline future PRs diff
 their numbers against.
 
@@ -17,8 +18,11 @@ scratch stores before any timing is reported — a benchmark run is also
 a differential correctness check.  ``--quick`` runs the small grid and
 exits non-zero unless the greedy tier's incremental append beats the
 scratch rebuild by at least 10x (the serving layer's contract), the DP
-tier shows a clear win, and warm batched queries clear an absolute
-throughput floor.  ``--check`` compares each speedup/qps *ratio*
+tier shows a clear win, warm batched queries clear an absolute
+throughput floor, and a cache miss on the largest synopsis of the miss
+grid costs at most 2x a miss on the smallest (a miss reads
+``log2(segment)`` slices of the synopsis's index array, not all ``B``
+coefficients).  ``--check`` compares each speedup/qps/miss-cost *ratio*
 against the committed baseline — ratios transfer across hosts, absolute
 seconds do not.  The full run demonstrates the 10x contract at
 ``N = 2^20``.
@@ -33,7 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.serving import Query, ShardedSynopsisStore
+from repro.serving import Query, ShardedSynopsisStore, reconstruct_segment
+from repro.wavelet.synopsis import WaveletSynopsis
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_serving.json"
@@ -69,6 +74,20 @@ QUERY_GRID = [
     ("queries-quick", 2, 1 << 14),
     ("queries-full", 2, 1 << 20),
 ]
+
+#: Cache-miss grid (both modes): ``reconstruct_segment`` on synthetic
+#: synopses of N = 2^20 leaves with B uniformly placed coefficients,
+#: timed over the same MISS_SEGMENTS 1024-leaf segments per B.
+MISS_N = 1 << 20
+MISS_SEGMENT_LEAVES = 1024
+MISS_BUDGETS = (256, 4096, 65536)
+MISS_SEGMENTS = 64
+MISS_REPS = 7
+
+#: Hard ceiling on the largest-B miss cost over the smallest-B one: a
+#: miss must not walk all B coefficients (a per-coefficient walk runs
+#: >100x at B = 65536 against B = 256).
+MISS_FLAT_FACTOR = 2.0
 
 
 def _make_store(tier, n, block, kwargs, data, seed):
@@ -168,6 +187,43 @@ def bench_queries(label, n_series, n, seed, batch_size=256, batches=40):
     }
 
 
+def bench_misses(seed):
+    """Seconds per cache miss for each B, min over interleaved reps."""
+    rng = np.random.default_rng(seed)
+    synopses = {}
+    for budget in MISS_BUDGETS:
+        nodes = rng.choice(MISS_N, size=budget, replace=False).tolist()
+        values = rng.normal(0.0, 50.0, budget).tolist()
+        synopses[budget] = WaveletSynopsis(MISS_N, dict(zip(nodes, values)))
+    segments = MISS_N // MISS_SEGMENT_LEAVES
+    starts = (
+        rng.choice(segments, size=MISS_SEGMENTS, replace=False) * MISS_SEGMENT_LEAVES
+    ).tolist()
+    best = dict.fromkeys(MISS_BUDGETS, float("inf"))
+    for _ in range(MISS_REPS):
+        # One pass over every B per rep, so host drift hits all rows alike.
+        for budget, synopsis in synopses.items():
+            t0 = time.perf_counter()
+            for start in starts:
+                reconstruct_segment(synopsis, start, MISS_SEGMENT_LEAVES)
+            per_miss = (time.perf_counter() - t0) / len(starts)
+            best[budget] = min(best[budget], per_miss)
+    smallest = best[MISS_BUDGETS[0]]
+    return [
+        {
+            "label": f"miss-B{budget}",
+            "n": MISS_N,
+            "segment_leaves": MISS_SEGMENT_LEAVES,
+            "budget": budget,
+            "segments": MISS_SEGMENTS,
+            "reps": MISS_REPS,
+            "seconds_per_miss": best[budget],
+            "vs_smallest_budget": best[budget] / smallest,
+        }
+        for budget in MISS_BUDGETS
+    ]
+
+
 def print_append_rows(rows):
     header = (
         f"{'label':>14}{'N':>10}{'incr s':>10}{'scratch s':>11}"
@@ -192,9 +248,24 @@ def print_query_rows(rows):
         )
 
 
-def hard_gates(append_rows, query_rows):
+def print_miss_rows(rows):
+    for r in rows:
+        print(
+            f"{r['label']}: N={r['n']}, {r['segment_leaves']}-leaf segments, "
+            f"{r['seconds_per_miss'] * 1e6:.1f} us/miss "
+            f"({r['vs_smallest_budget']:.2f}x the B={MISS_BUDGETS[0]} miss)"
+        )
+
+
+def hard_gates(append_rows, query_rows, miss_rows):
     """Floors that hold regardless of baseline; returns failure strings."""
     failures = []
+    for r in miss_rows:
+        if r["vs_smallest_budget"] > MISS_FLAT_FACTOR:
+            failures.append(
+                f"{r['label']}: a miss costs {r['vs_smallest_budget']:.1f}x the "
+                f"B={MISS_BUDGETS[0]} miss, above the {MISS_FLAT_FACTOR:.0f}x ceiling"
+            )
     for r in append_rows:
         floor = (
             GREEDY_SPEEDUP_FLOOR if r["tier"] == "greedy" else QUICK_DP_SPEEDUP_FLOOR
@@ -217,14 +288,29 @@ def hard_gates(append_rows, query_rows):
     return failures
 
 
-def check_against_baseline(append_rows, query_rows, baseline_path):
+def check_against_baseline(append_rows, query_rows, miss_rows, baseline_path):
     if not baseline_path.exists():
         print(f"FAIL: baseline {baseline_path} not found", file=sys.stderr)
         return 1
     baseline = json.loads(baseline_path.read_text())
+    if "misses" not in baseline["results"]:
+        print(f"FAIL: baseline {baseline_path} has no miss rows", file=sys.stderr)
+        return 1
     by_label = {r["label"]: r for r in baseline["results"]["append"]}
     by_label.update({r["label"]: r for r in baseline["results"]["queries"]})
+    by_label.update({r["label"]: r for r in baseline["results"]["misses"]})
     failures = []
+    for r in miss_rows:
+        base = by_label.get(r["label"])
+        if base is None:
+            continue
+        ceiling = base["vs_smallest_budget"] * CHECK_REGRESSION_FACTOR
+        if r["vs_smallest_budget"] > ceiling:
+            failures.append(
+                f"{r['label']}: miss cost {r['vs_smallest_budget']:.2f}x the smallest "
+                f"B is more than {CHECK_REGRESSION_FACTOR}x the baseline "
+                f"{base['vs_smallest_budget']:.2f}x"
+            )
     for r in append_rows:
         base = by_label.get(r["label"])
         if base is None:
@@ -251,7 +337,7 @@ def check_against_baseline(append_rows, query_rows, baseline_path):
             print(f"FAIL: {line}", file=sys.stderr)
         return 1
     print(
-        f"check OK: serving speedups and throughput within "
+        f"check OK: serving speedups, throughput and miss costs within "
         f"{CHECK_REGRESSION_FACTOR}x of {baseline_path.name}"
     )
     return 0
@@ -263,7 +349,8 @@ def main(argv=None) -> int:
         "--quick",
         action="store_true",
         help="smoke mode: small grid with hard floors (10x greedy "
-        "incremental speedup, warm qps floor, digest equality)",
+        "incremental speedup, warm qps floor, digest equality, miss cost "
+        f"flat in B within {MISS_FLAT_FACTOR:.0f}x)",
     )
     parser.add_argument(
         "--check",
@@ -296,21 +383,26 @@ def main(argv=None) -> int:
         for label, n_series, n in QUERY_GRID
         if label in wanted
     ]
+    miss_rows = bench_misses(args.seed)
     print_append_rows(append_rows)
     print_query_rows(query_rows)
+    print_miss_rows(miss_rows)
 
-    failures = hard_gates(append_rows, query_rows)
+    failures = hard_gates(append_rows, query_rows, miss_rows)
     for line in failures:
         print(f"FAIL: {line}", file=sys.stderr)
     if failures:
         return 1
 
     if args.check:
-        return check_against_baseline(append_rows, query_rows, args.out or DEFAULT_OUT)
+        return check_against_baseline(
+            append_rows, query_rows, miss_rows, args.out or DEFAULT_OUT
+        )
     if args.quick:
         print(
-            "quick smoke OK: incremental append beats scratch rebuild and "
-            "batched queries clear the throughput floor"
+            "quick smoke OK: incremental append beats scratch rebuild, "
+            "batched queries clear the throughput floor and miss cost is "
+            "flat in B"
         )
         return 0
 
@@ -320,8 +412,9 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "timing": "wall clock, single run per cell (speedups are ratios)",
-        "results": {"append": append_rows, "queries": query_rows},
+        "timing": "wall clock, single run per append/query cell (speedups "
+        "are ratios); misses are min over interleaved reps",
+        "results": {"append": append_rows, "queries": query_rows, "misses": miss_rows},
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")

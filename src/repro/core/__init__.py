@@ -16,7 +16,7 @@ from repro.core.conventional_dist import (
     send_v_synopsis,
 )
 from repro.core.dgreedy import d_greedy_abs, d_greedy_rel
-from repro.core.dindirect import d_indirect_haar, global_to_local, incoming_value
+from repro.core.dindirect import d_indirect_haar
 from repro.core.dp_framework import (
     LayeredDPDriver,
     MinHaarSpaceDP,
@@ -58,9 +58,7 @@ __all__ = [
     "d_indirect_haar",
     "dm_haar_space",
     "dp_layers",
-    "global_to_local",
     "h_wtopk_synopsis",
-    "incoming_value",
     "local_to_global",
     "parse_layer_plan",
     "plan_layers_auto",

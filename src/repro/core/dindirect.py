@@ -20,7 +20,7 @@ from collections.abc import Iterator, Mapping
 from typing import Any
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
+from numpy.typing import ArrayLike
 
 from repro.algos.indirect_haar import indirect_haar_search, search_resolution
 from repro.core.conventional_dist import con_synopsis
@@ -31,49 +31,10 @@ from repro.exceptions import InvalidInputError
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.hdfs import InputSplit, aligned_splits
 from repro.mapreduce.job import MapReduceJob
-from repro.wavelet.synopsis import WaveletSynopsis
-from repro.wavelet.transform import haar_transform, inverse_haar_transform, is_power_of_two
+from repro.wavelet.synopsis import WaveletSynopsis, reconstruct_segment
+from repro.wavelet.transform import haar_transform, is_power_of_two
 
-__all__ = ["incoming_value", "global_to_local", "d_indirect_haar"]
-
-
-def incoming_value(
-    coefficients: Mapping[int, float] | NDArray[np.float64],
-    subtree_root: int,
-    n: int,
-) -> float:
-    """Reconstructed value arriving at ``subtree_root`` from its ancestors.
-
-    Sums the retained coefficients on the path strictly above the
-    sub-tree: the sign of each ancestor is ``+1`` when the sub-tree hangs
-    off its left child, ``-1`` off its right (``c_0`` is always ``+1``).
-    """
-    if not 1 <= subtree_root < n:
-        raise InvalidInputError(f"sub-tree root {subtree_root} out of range")
-    getter = coefficients.get if hasattr(coefficients, "get") else lambda j, d=0.0: coefficients[j]
-    total = 0.0
-    node = subtree_root
-    while node > 1:
-        parent = node // 2
-        sign = 1.0 if node == 2 * parent else -1.0
-        total += sign * float(getter(parent, 0.0))
-        node = parent
-    total += float(getter(0, 0.0))
-    return total
-
-
-def global_to_local(subtree_root: int, node: int) -> int | None:
-    """Inverse of :func:`repro.core.partitioning.local_to_global`.
-
-    Returns the local index of global ``node`` inside the sub-tree rooted
-    at ``subtree_root``, or ``None`` when the node is not in that sub-tree.
-    """
-    if node < subtree_root:
-        return None
-    shift = node.bit_length() - subtree_root.bit_length()
-    if node >> shift != subtree_root:
-        return None
-    return (1 << shift) | (node - (subtree_root << shift))
+__all__ = ["d_indirect_haar"]
 
 
 class _LowerBoundJob(MapReduceJob):
@@ -118,21 +79,14 @@ class _EvaluateSynopsisJob(MapReduceJob):
     stage_label = "dindirect.upper_bound"
     num_reducers = 1
 
-    def __init__(self, n: int, retained: dict[int, float], split_size: int) -> None:
+    def __init__(self, n: int, retained: Mapping[int, float], split_size: int) -> None:
         self.n = n
-        self.retained = retained
+        self.synopsis = WaveletSynopsis(n, retained)
         self.split_size = split_size
 
     def map(self, split: InputSplit) -> Iterator[tuple[Any, Any]]:
         size = len(split)
-        subtree_root = self.n // size + split.split_id
-        local = np.zeros(size, dtype=np.float64)
-        local[0] = incoming_value(self.retained, subtree_root, self.n)
-        for node, value in self.retained.items():
-            local_node = global_to_local(subtree_root, node)
-            if local_node is not None and local_node < size:
-                local[local_node] = value
-        approximation = inverse_haar_transform(local)
+        approximation = reconstruct_segment(self.synopsis, split.split_id * size, size)
         yield "err", float(np.max(np.abs(approximation - split.values)))
 
     def reduce(self, key: Any, values: list[Any]) -> Iterator[tuple[Any, Any]]:

@@ -13,13 +13,13 @@ and :meth:`ReconstructionCache.invalidate` additionally purges the dead
 entries eagerly so an append frees their memory immediately rather than
 waiting for LRU pressure.
 
-A segment is reconstructed from the synopsis alone: the sub-tree rooted
-at ``n / seg_len + segment_index`` owns the segment's leaves, the
-ancestor path contributes one constant (:func:`~repro.core.partitioning.
-incoming_value`), and the in-subtree coefficients map to local detail
-slots (:func:`~repro.core.dindirect.global_to_local`) — one
-``O(seg_len)`` inverse transform reproduces ``data[start : start +
-seg_len]`` as the synopsis approximates it.
+A miss calls :func:`reconstruct_segment` (defined with the synopsis in
+:mod:`repro.wavelet.synopsis`): the sub-tree rooted at ``n / seg_len +
+segment_index`` owns the segment's leaves, the ancestor path contributes
+one constant, and the sub-tree's coefficients are ``log2(seg_len)``
+slices of the synopsis's sorted index array — one ``O(seg_len)`` inverse
+transform reproduces ``data[start : start + seg_len]`` as the synopsis
+approximates it, at a cost that does not grow with the synopsis size.
 """
 
 from __future__ import annotations
@@ -30,37 +30,11 @@ from collections import OrderedDict
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.core.dindirect import global_to_local, incoming_value
 from repro.exceptions import InvalidInputError
-from repro.wavelet.synopsis import WaveletSynopsis
-from repro.wavelet.transform import inverse_haar_transform, is_power_of_two
+from repro.wavelet.synopsis import WaveletSynopsis, reconstruct_segment
+from repro.wavelet.transform import is_power_of_two
 
 __all__ = ["ReconstructionCache", "reconstruct_segment"]
-
-
-def reconstruct_segment(
-    synopsis: WaveletSynopsis, start: int, seg_len: int
-) -> NDArray[np.float64]:
-    """Reconstruct ``seg_len`` approximate leaves starting at ``start``.
-
-    ``seg_len`` must be a power of two dividing ``synopsis.n`` and
-    ``start`` must be segment-aligned.
-    """
-    n = synopsis.n
-    if seg_len == n:
-        return synopsis.reconstruct()
-    if not is_power_of_two(seg_len) or n % seg_len or start % seg_len:
-        raise InvalidInputError(
-            f"segment [{start}, {start + seg_len}) is not aligned for N={n}"
-        )
-    subtree_root = n // seg_len + start // seg_len
-    local = np.zeros(seg_len, dtype=np.float64)
-    local[0] = incoming_value(synopsis.coefficients, subtree_root, n)
-    for node, value in synopsis.coefficients.items():
-        local_node = global_to_local(subtree_root, node)
-        if local_node is not None and local_node < seg_len:
-            local[local_node] = value
-    return inverse_haar_transform(local)
 
 
 class ReconstructionCache:

@@ -35,6 +35,7 @@ reads) proceed in parallel.
 from __future__ import annotations
 
 import json
+import operator
 import threading
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -121,15 +122,33 @@ class _Series:
 
 
 def _digest(synopsis: WaveletSynopsis, length: int, guarantee: float) -> str:
-    """Canonical digest of a published version's observable payload."""
+    """Canonical digest of a published version's observable payload.
+
+    The coefficient arrays are node-sorted, so their bytes do not depend
+    on the order an emitter inserted coefficients in.
+    """
     return stable_digest(
         {
             "n": synopsis.n,
-            "coefficients": synopsis.coefficients,
+            "indices": synopsis.indices,
+            "values": synopsis.values,
             "length": length,
             "guarantee": guarantee,
         }
     )
+
+
+def _position(query: Query, name: str) -> int:
+    """The integer field ``name`` of ``query``: Python or numpy integers only."""
+    value = getattr(query, name)
+    if value is None:
+        raise InvalidInputError(f"{query.op} query needs {name}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(
+            f"{query.op} query {name} must be an integer, got {value!r}"
+        ) from None
 
 
 class ShardedSynopsisStore:
@@ -380,22 +399,20 @@ class ShardedSynopsisStore:
 
     def _answer(self, query: Query, snapshot: SeriesVersion) -> QueryResult:
         if query.op == "point":
-            if query.index is None:
-                raise InvalidInputError("point query needs an index")
-            self._clip(snapshot, query.index, query.index)
+            index = _position(query, "index")
+            self._clip(snapshot, index, index)
             value = self.cache.point(
-                snapshot.name, snapshot.version, snapshot.synopsis, query.index
+                snapshot.name, snapshot.version, snapshot.synopsis, index
             )
             slack = snapshot.guarantee
         elif query.op in ("range_sum", "range_avg"):
-            if query.lo is None or query.hi is None:
-                raise InvalidInputError(f"{query.op} query needs lo and hi")
-            self._clip(snapshot, query.lo, query.hi)
+            lo, hi = _position(query, "lo"), _position(query, "hi")
+            self._clip(snapshot, lo, hi)
             if query.op == "range_sum":
-                value = snapshot.synopsis.range_sum(query.lo, query.hi)
-                slack = (query.hi - query.lo + 1) * snapshot.guarantee
+                value = snapshot.synopsis.range_sum(lo, hi)
+                slack = (hi - lo + 1) * snapshot.guarantee
             else:
-                value = snapshot.synopsis.range_avg(query.lo, query.hi)
+                value = snapshot.synopsis.range_avg(lo, hi)
                 slack = snapshot.guarantee
         else:
             raise InvalidInputError(

@@ -3,6 +3,7 @@
 from repro.wavelet.error_tree import (
     ErrorTree,
     data_path,
+    incoming_value,
     leaf_sign,
     node_children,
     node_leaf_range,
@@ -63,6 +64,7 @@ __all__ = [
     "decomposition_steps",
     "haar_basis_vector",
     "haar_transform",
+    "incoming_value",
     "inverse_haar_transform",
     "is_power_of_two",
     "l2_error",

@@ -18,10 +18,10 @@ by the centralized algorithms and the partitioning schemes.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike
+from numpy.typing import ArrayLike, NDArray
 
 from repro.exceptions import InvalidInputError
 from repro.wavelet.transform import (
@@ -39,6 +39,9 @@ __all__ = [
     "data_path",
     "path_signs",
     "reconstruct_value",
+    "incoming_value",
+    "range_sum_nodes",
+    "range_sum_of",
     "reconstruct_range_sum",
     "subtree_nodes",
     "ErrorTree",
@@ -149,29 +152,54 @@ def reconstruct_value(coefficients: Mapping[int, float] | np.ndarray, leaf: int,
     return total
 
 
-def reconstruct_range_sum(
-    coefficients: Mapping[int, float] | np.ndarray, lo: int, hi: int, n: int
+def incoming_value(
+    coefficients: Mapping[int, float] | NDArray[np.float64],
+    subtree_root: int,
+    n: int,
 ) -> float:
-    """Return the range sum ``d(lo:hi)`` (inclusive bounds, as in the paper).
+    """Reconstructed value arriving at ``subtree_root`` from its ancestors.
 
-    Uses only the nodes on ``path_lo`` and ``path_hi`` — at most
+    Sums the retained coefficients on the path strictly above the
+    sub-tree: the sign of each ancestor is ``+1`` when the sub-tree hangs
+    off its left child, ``-1`` off its right (``c_0`` is always ``+1``).
+    """
+    if not 1 <= subtree_root < n:
+        raise InvalidInputError(f"sub-tree root {subtree_root} out of range")
+    getter = coefficients.get if hasattr(coefficients, "get") else lambda j, d=0.0: coefficients[j]
+    total = 0.0
+    node = subtree_root
+    while node > 1:
+        parent = node // 2
+        sign = 1.0 if node == 2 * parent else -1.0
+        total += sign * float(getter(parent, 0.0))
+        node = parent
+    total += float(getter(0, 0.0))
+    return total
+
+
+def range_sum_nodes(lo: int, hi: int, n: int) -> list[int]:
+    """The nodes the range sum ``d(lo:hi)`` reads, in its summation order.
+
+    These are the nodes on ``path_lo`` and ``path_hi`` — at most
     ``2 log N + 1`` coefficients regardless of the width of the range
-    (Section 2.2).  Each node ``c_j`` contributes
-    ``(|leftleaves_{j,lo:hi}| - |rightleaves_{j,lo:hi}|) * c_j`` and ``c_0``
-    contributes ``(hi - lo + 1) * c_0``.
+    (Section 2.2).
     """
     if lo > hi:
         raise InvalidInputError(f"empty range [{lo}, {hi}]")
-    if isinstance(coefficients, Mapping):
-        getter = lambda j: coefficients.get(j, 0.0)  # noqa: E731
-    else:
-        dense = np.asarray(coefficients)
-        getter = lambda j: float(dense[j])  # noqa: E731
+    return list(set(data_path(lo, n)) | set(data_path(hi, n)))
 
-    nodes = set(data_path(lo, n)) | set(data_path(hi, n))
+
+def range_sum_of(
+    nodes: Sequence[int], values: Sequence[float], lo: int, hi: int, n: int
+) -> float:
+    """Range sum ``d(lo:hi)`` from the :func:`range_sum_nodes` and their values.
+
+    Each node ``c_j`` contributes
+    ``(|leftleaves_{j,lo:hi}| - |rightleaves_{j,lo:hi}|) * c_j`` and ``c_0``
+    contributes ``(hi - lo + 1) * c_0``.
+    """
     total = 0.0
-    for node in nodes:
-        value = getter(node)
+    for node, value in zip(nodes, values):
         if value == 0.0:
             continue
         if node == 0:
@@ -183,6 +211,23 @@ def reconstruct_range_sum(
         right_count = max(0, min(hi, left_hi - 1) - max(lo, mid) + 1)
         total += (left_count - right_count) * value
     return total
+
+
+def reconstruct_range_sum(
+    coefficients: Mapping[int, float] | np.ndarray, lo: int, hi: int, n: int
+) -> float:
+    """Return the range sum ``d(lo:hi)`` (inclusive bounds, as in the paper).
+
+    ``coefficients`` may be a dense array of length ``N`` or a mapping from
+    node index to retained value; see :func:`range_sum_of`.
+    """
+    if isinstance(coefficients, Mapping):
+        getter = lambda j: coefficients.get(j, 0.0)  # noqa: E731
+    else:
+        dense = np.asarray(coefficients)
+        getter = lambda j: float(dense[j])  # noqa: E731
+    nodes = range_sum_nodes(lo, hi, n)
+    return range_sum_of(nodes, [getter(node) for node in nodes], lo, hi, n)
 
 
 def subtree_nodes(root: int, n: int) -> Iterator[int]:

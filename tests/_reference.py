@@ -19,10 +19,10 @@ from repro.algos.reference import (  # noqa: F401
     scalar_greedy_abs_order,
     scalar_greedy_rel_order,
 )
-from repro.wavelet.error_tree import leaf_sign, node_leaf_range
+from repro.wavelet.error_tree import data_path, leaf_sign, node_leaf_range, path_signs
 from repro.wavelet.metrics import DEFAULT_SANITY_BOUND
 from repro.wavelet.synopsis import WaveletSynopsis
-from repro.wavelet.transform import haar_transform
+from repro.wavelet.transform import haar_transform, inverse_haar_transform
 
 
 def naive_greedy_abs_order(coefficients, initial_errors=None, include_average=True):
@@ -116,3 +116,97 @@ def brute_force_min_restricted_size(data, epsilon):
             if synopsis.max_abs_error(values) <= epsilon:
                 return size
     return n
+
+
+def global_to_local(subtree_root, node):
+    """Local index of global ``node`` in the sub-tree at ``subtree_root``.
+
+    Inverse of :func:`repro.core.partitioning.local_to_global`; ``None``
+    when the node is not in that sub-tree.
+    """
+    if node < subtree_root:
+        return None
+    shift = node.bit_length() - subtree_root.bit_length()
+    if node >> shift != subtree_root:
+        return None
+    return (1 << shift) | (node - (subtree_root << shift))
+
+
+class DictSynopsis:
+    """The ``{node: value}`` synopsis reads the columnar arrays replaced.
+
+    Differential oracle for :class:`~repro.wavelet.synopsis.WaveletSynopsis`:
+    every read walks the whole coefficient dict (or sums in the original
+    order) exactly as the dict-based implementation did, so the columnar
+    answers must match it bit for bit.
+    """
+
+    def __init__(self, n, coefficients):
+        self.n = n
+        self.coefficients = {
+            int(node): float(value)
+            for node, value in coefficients.items()
+            if float(value) != 0.0
+        }
+
+    def dense(self):
+        dense = np.zeros(self.n, dtype=np.float64)
+        for index, value in self.coefficients.items():
+            dense[index] = value
+        return dense
+
+    def reconstruct(self):
+        return inverse_haar_transform(self.dense())
+
+    def point_query(self, leaf):
+        total = 0.0
+        for node, sign in path_signs(leaf, self.n):
+            total += sign * self.coefficients.get(node, 0.0)
+        return total
+
+    def range_sum(self, lo, hi):
+        n = self.n
+        # Summed in set-iteration order, as the dict implementation did.
+        nodes = set(data_path(lo, n)) | set(data_path(hi, n))
+        total = 0.0
+        for node in nodes:
+            value = self.coefficients.get(node, 0.0)
+            if value == 0.0:
+                continue
+            if node == 0:
+                total += (hi - lo + 1) * value
+                continue
+            left_lo, left_hi = node_leaf_range(node, n)
+            mid = (left_lo + left_hi) // 2
+            left_count = max(0, min(hi, mid - 1) - max(lo, left_lo) + 1)
+            right_count = max(0, min(hi, left_hi - 1) - max(lo, mid) + 1)
+            total += (left_count - right_count) * value
+        return total
+
+    def segment(self, start, seg_len):
+        n = self.n
+        if seg_len == n:
+            return self.reconstruct()
+        subtree_root = n // seg_len + start // seg_len
+        local = np.zeros(seg_len, dtype=np.float64)
+        # The incoming value: ancestors bottom-up, then c_0.
+        total = 0.0
+        node = subtree_root
+        while node > 1:
+            parent = node // 2
+            sign = 1.0 if node == 2 * parent else -1.0
+            total += sign * self.coefficients.get(parent, 0.0)
+            node = parent
+        local[0] = total + self.coefficients.get(0, 0.0)
+        for node, value in self.coefficients.items():
+            local_node = global_to_local(subtree_root, node)
+            if local_node is not None and local_node < seg_len:
+                local[local_node] = value
+        return inverse_haar_transform(local)
+
+    def to_dict(self):
+        return {
+            "n": self.n,
+            "coefficients": {str(k): v for k, v in sorted(self.coefficients.items())},
+            "meta": {},
+        }

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.algos.indirect_haar import indirect_haar
-from repro.core.dindirect import d_indirect_haar, global_to_local, incoming_value
+from repro.core.dindirect import d_indirect_haar
 from repro.exceptions import InvalidInputError
 from repro.mapreduce import SimulatedCluster
+from repro.wavelet.error_tree import incoming_value
 from repro.wavelet.transform import haar_transform
+from tests._reference import global_to_local
 
 
 def uniform_data(n, seed=0):

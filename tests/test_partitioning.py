@@ -128,7 +128,7 @@ class TestLocalGlobalMapping:
             local_to_global(5, 0)
 
     def test_roundtrip_with_global_to_local(self):
-        from repro.core.dindirect import global_to_local
+        from tests._reference import global_to_local
 
         for root in (1, 3, 5, 12):
             for local in range(1, 16):

@@ -17,8 +17,14 @@ import pytest
 
 from repro.analysis.sanitizer import compare_reports
 from repro.exceptions import InvalidInputError, ReproError
-from repro.serving import Query, ReconstructionCache, ShardedSynopsisStore
+from repro.serving import (
+    Query,
+    ReconstructionCache,
+    ShardedSynopsisStore,
+    reconstruct_segment,
+)
 from repro.serving.store import _digest
+from repro.wavelet.synopsis import WaveletSynopsis
 
 
 class TestConcurrentReaders:
@@ -140,6 +146,15 @@ class TestReconstructionCache:
         assert counters["cache_evictions"] >= 1
         assert counters["cache_entries"] <= 2
 
+    def test_reconstruct_segment_rejects_out_of_range_start(self):
+        # Aligned but outside [0, N): start=8 would alias the sub-tree at
+        # node 4 (leaves 0-1), start=-4 the one at node 1.
+        synopsis = WaveletSynopsis(8, {0: 7.0, 1: 2.0, 4: 1.0})
+        assert reconstruct_segment(synopsis, 4, 4).tolist() == [5.0, 5.0, 5.0, 5.0]
+        for start in (8, -4):
+            with pytest.raises(InvalidInputError):
+                reconstruct_segment(synopsis, start, 4)
+
     def test_cache_rejects_bad_config(self):
         with pytest.raises(InvalidInputError):
             ReconstructionCache(max_entries=0)
@@ -169,6 +184,16 @@ class TestStoreApi:
             store.batch([Query("point", "s", index=16)])  # out of range
         with pytest.raises(InvalidInputError):
             store.batch([Query("range_sum", "s", lo=5, hi=4)])
+
+    def test_batch_normalizes_integer_fields(self):
+        store = ShardedSynopsisStore()
+        store.create("s", np.arange(16.0), budget=16, base_leaves=4)
+        (numpy_index,) = store.batch([Query("point", "s", index=np.int64(2))])
+        assert numpy_index.value == store.point("s", 2)
+        with pytest.raises(InvalidInputError):
+            store.batch([Query("point", "s", index=2.5)])
+        with pytest.raises(InvalidInputError):
+            store.batch([Query("range_sum", "s", lo=0.5, hi=3)])
 
     def test_report_and_membership(self):
         store = ShardedSynopsisStore()

@@ -1,5 +1,7 @@
 """Unit tests for WaveletSynopsis and the error metrics (Eqs. 1-3)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,33 @@ class TestWaveletSynopsis:
     def test_rejects_out_of_range_index(self):
         with pytest.raises(InvalidInputError):
             WaveletSynopsis(8, {9: 1.0})
+
+    def test_rejects_non_integral_index_and_non_finite_value(self):
+        with pytest.raises(InvalidInputError):
+            WaveletSynopsis(8, {3.7: 1.0})  # was silently node 3
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidInputError):
+                WaveletSynopsis(8, {3: value})
+
+    def test_from_dict_applies_the_same_checks(self):
+        payload = WaveletSynopsis(8, {0: 7.0, 5: -13.0}).to_dict()
+        with pytest.raises(InvalidInputError):
+            WaveletSynopsis.from_dict({**payload, "coefficients": {"3.7": 1.0}})
+        with pytest.raises(InvalidInputError):
+            WaveletSynopsis.from_dict({**payload, "coefficients": {"3": float("nan")}})
+
+    def test_arrays_are_sorted_and_read_only(self):
+        synopsis = WaveletSynopsis(8, {5: -13.0, np.int64(0): 7.0, 3: 0.0})
+        assert synopsis.indices.tolist() == [0, 5]
+        assert synopsis.values.tolist() == [7.0, -13.0]
+        restored = pickle.loads(pickle.dumps(synopsis))
+        for held in (synopsis, restored):
+            with pytest.raises(ValueError):
+                held.values[0] = 1.0
+            with pytest.raises(ValueError):
+                held.indices[0] = 1
+        with pytest.raises(TypeError):
+            synopsis.coefficients[0] = 1.0
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(InvalidInputError):
