@@ -164,7 +164,6 @@ def indirect_haar(
     max_iterations: int = 48,
     restricted: bool = False,
     rho: float = 0.0,
-    kernel: str = "auto",
 ) -> WaveletSynopsis:
     """Centralized IndirectHaar: best max-abs synopsis within ``budget``.
 
@@ -178,9 +177,8 @@ def indirect_haar(
     respects ``budget``, and because each probe at bound ``e`` achieves
     error at most ``(1 + rho) * e``, the search's winner has error at
     most ``(1 + rho) * (E_exact + delta)`` where ``E_exact`` is the
-    exact search's result.  ``kernel`` picks a combine kernel from
-    :data:`repro.algos.minhaarspace.DP_KERNELS`; both are ignored when an
-    explicit ``solver`` is supplied.
+    exact search's result.  An explicit ``solver`` is called as given,
+    so it must apply ``rho`` itself.
     """
     values = np.asarray(data, dtype=np.float64)
     coefficients = haar_transform(values)
@@ -197,11 +195,11 @@ def indirect_haar(
             from repro.algos.minhaarspace import min_haar_space_restricted
 
             solver = lambda epsilon: min_haar_space_restricted(  # noqa: E731
-                values, epsilon, delta, rho=rho, kernel=kernel
+                values, epsilon, delta, rho=rho
             )
         else:
             solver = lambda epsilon: min_haar_space(  # noqa: E731
-                values, epsilon, delta, rho=rho, kernel=kernel
+                values, epsilon, delta, rho=rho
             )
 
     best, runs = indirect_haar_search(

@@ -29,9 +29,7 @@ distributed layer instead of from recursion.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +44,6 @@ from repro.wavelet.transform import is_power_of_two
 __all__ = [
     "MRow",
     "DualSolution",
-    "DP_KERNELS",
-    "KernelSpec",
     "approx_params",
     "effective_delta",
     "leaf_row",
@@ -58,7 +54,6 @@ __all__ = [
     "combine_rows_restricted_scalar",
     "compute_subtree_rows",
     "compute_subtree_rows_restricted",
-    "resolve_kernel",
     "traceback_subtree",
     "finalize_root",
     "min_haar_space",
@@ -134,7 +129,13 @@ def approx_params(
     already at least that coarse (``delta_dp <= delta'``) coarsening
     cannot help and the exact parameters come back unchanged, so
     ``rho = 0`` is bit-identical to the exact path by construction.
+
+    Every DP solve and the serving DP maintainer call this before they
+    build a row, so it is where a non-finite ``epsilon``, ``delta`` or
+    ``rho`` is rejected.
     """
+    if not all(map(math.isfinite, (epsilon, delta, rho))):
+        raise InvalidInputError("epsilon, delta and rho must be finite")
     if rho < 0:
         raise InvalidInputError("rho must be non-negative")
     base = effective_delta(epsilon, delta, n)
@@ -212,62 +213,6 @@ class DualSolution:
     max_error: float
     synopsis: WaveletSynopsis
     epsilon: float | None = None
-
-
-#: Child-row entry count below which thread-pool dispatch of a level's
-#: sibling combines costs more than the combines themselves (a task
-#: submission is ~an empty numpy call; a windowed combine only dwarfs it
-#: once rows reach a few hundred entries — benchmarks/bench_dp_kernel.py).
-PARALLEL_MIN_ENTRIES = 256
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """One entry of the DP combine-kernel registry.
-
-    ``force`` pins the per-combine kernel (``"scalar"`` /
-    ``"windowed"``; ``None`` keeps the cell-count dispatch), and
-    ``parallel`` runs each tree level's independent sibling combines on
-    a thread pool — the heavy argmin windows release the GIL, so sibling
-    sub-trees overlap on real cores while results are collected in
-    deterministic index order (``Executor.map``, never completion
-    order).  Every spec is bit-identical to every other: the registry
-    only trades time, never output.
-    """
-
-    name: str
-    force: str | None = None
-    parallel: bool = False
-    workers: int | None = None
-
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return max(self.workers, 1)
-        return max(2, min(8, os.cpu_count() or 1))
-
-
-#: The combine-kernel registry (the runtime/shuffle registry pattern):
-#: ``auto`` is the production dispatcher, ``scalar``/``windowed`` pin one
-#: kernel (differential tests, benchmarks), ``parallel`` adds the
-#: thread-pool blocked path for wide rows.  All entries are bit-identical.
-DP_KERNELS: dict[str, KernelSpec] = {
-    "auto": KernelSpec("auto"),
-    "scalar": KernelSpec("scalar", force="scalar"),
-    "windowed": KernelSpec("windowed", force="windowed"),
-    "parallel": KernelSpec("parallel", parallel=True),
-}
-
-
-def resolve_kernel(kernel: str | KernelSpec) -> KernelSpec:
-    """Look up a kernel by registry name (specs pass through unchanged)."""
-    if isinstance(kernel, KernelSpec):
-        return kernel
-    spec = DP_KERNELS.get(kernel)
-    if spec is None:
-        raise InvalidInputError(
-            f"unknown DP kernel {kernel!r}; choose one of {sorted(DP_KERNELS)}"
-        )
-    return spec
 
 
 def leaf_row(value: float, epsilon: float, delta: float) -> MRow:
@@ -358,7 +303,6 @@ def combine_rows(
     right: MRow,
     epsilon: float,
     delta: float,
-    kernel: str | KernelSpec = "auto",
 ) -> MRow:
     """Combine two child rows into their parent coefficient node's row.
 
@@ -371,16 +315,10 @@ def combine_rows(
     Dispatches between two kernels with identical results (tested
     entry-for-entry): the windowed batch kernel for real rows, and the
     per-``v`` scalar loop for tiny rows where the batch setup overhead
-    loses (:data:`SCALAR_FALLBACK_CELLS`).  A :data:`DP_KERNELS` entry
-    (or spec) pins the choice instead.
+    loses (:data:`SCALAR_FALLBACK_CELLS`).
     """
-    spec = resolve_kernel(kernel)
     v_start, v_stop = _combined_domain(left, right)
-    if spec.force == "scalar":
-        chosen = _combine_kernel_scalar
-    elif spec.force == "windowed":
-        chosen = _combine_kernel_windowed
-    elif (v_stop - v_start + 1) * len(left) <= SCALAR_FALLBACK_CELLS:
+    if (v_stop - v_start + 1) * len(left) <= SCALAR_FALLBACK_CELLS:
         chosen = _combine_kernel_scalar
     else:
         chosen = _combine_kernel_windowed
@@ -642,62 +580,30 @@ def combine_rows_restricted_scalar(
 
 def _run_levels(
     leaf_rows: Sequence[MRow],
-    spec: KernelSpec,
     node_combine: Callable[[int, MRow, MRow], MRow],
 ) -> list[MRow | None]:
-    """Walk a sub-tree level by level, bottom-up.
+    """Walk a sub-tree level by level, bottom-up, in ascending node order.
 
-    All nodes of one level combine independent child pairs, so a level is
-    an embarrassingly parallel batch: the ``parallel`` kernel runs it on
-    a thread pool (the windowed kernel's numpy reductions release the
-    GIL) once its child rows are wide enough to amortize task dispatch
-    (:data:`PARALLEL_MIN_ENTRIES`).  Results are collected with
-    ``Executor.map`` — index order, never completion order — so the row
-    table is identical to the serial walk's, and infeasibility inside a
-    level deterministically surfaces from the lowest node index.
+    Node ``j`` of a level combines the rows of nodes ``2j`` and ``2j + 1``
+    from the level below (the input leaf rows at the bottom level), so
+    infeasibility deterministically surfaces from the lowest node index
+    of the lowest failing level.
     """
     m = len(leaf_rows)
+    if not is_power_of_two(m):
+        raise InvalidInputError("leaf count must be a power of two")
+    if m == 1:
+        # Degenerate sub-tree: no internal coefficient nodes.
+        return [leaf_rows[0]]
     rows: list[MRow | None] = [None] * m
-    executor = (
-        ThreadPoolExecutor(max_workers=spec.resolved_workers())
-        if spec.parallel and m >= 4
-        else None
-    )
-
-    def child_rows(j: int) -> tuple[MRow, MRow]:
-        if j >= m // 2:  # bottom level: children are the input leaf rows
-            return leaf_rows[2 * j - m], leaf_rows[2 * j + 1 - m]
-        left, right = rows[2 * j], rows[2 * j + 1]
-        assert left is not None and right is not None
-        return left, right
-
-    def run_level(level_nodes: range) -> None:
-        pairs = [child_rows(j) for j in level_nodes]
-        if executor is not None and len(pairs) > 1 and any(
-            max(len(left), len(right)) >= PARALLEL_MIN_ENTRIES for left, right in pairs
-        ):
-            combined = list(
-                executor.map(
-                    lambda task: node_combine(task[0], task[1][0], task[1][1]),
-                    zip(level_nodes, pairs),
-                )
-            )
-        else:
-            combined = [
-                node_combine(j, left, right)
-                for j, (left, right) in zip(level_nodes, pairs)
-            ]
-        for j, row in zip(level_nodes, combined):
-            rows[j] = row
-
-    try:
-        size = m // 2
-        while size >= 1:
-            run_level(range(size, 2 * size))
-            size //= 2
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+    level = list(leaf_rows)
+    size = m // 2
+    while size >= 1:
+        level = [
+            node_combine(size + i, level[2 * i], level[2 * i + 1]) for i in range(size)
+        ]
+        rows[size : 2 * size] = level
+        size //= 2
     sanitizer = sanitizer_current()
     if sanitizer is not None:
         # Sub-trees may run concurrently (thread map tasks); the sanitizer
@@ -711,35 +617,25 @@ def compute_subtree_rows_restricted(
     coefficients: ArrayLike,
     epsilon: float,
     delta: float,
-    kernel: str | KernelSpec = "auto",
 ) -> list[MRow | None]:
     """Restricted-variant DP over one sub-tree.
 
     ``coefficients`` is the local coefficient array (slot ``j`` for local
     node ``j``; slot 0 ignored), whose values are snapped to the grid.
     """
-    m = len(leaf_rows)
-    if not is_power_of_two(m):
-        raise InvalidInputError("leaf count must be a power of two")
-    if m == 1:
-        return [leaf_rows[0]]
-    spec = resolve_kernel(kernel)
     local = np.asarray(coefficients, dtype=np.float64)
 
     def node_combine(j: int, left: MRow, right: MRow) -> MRow:
         z_offset = int(round(float(local[j]) / delta))
-        if spec.force == "scalar":
-            return combine_rows_restricted_scalar(left, right, z_offset, epsilon, delta)
         return combine_rows_restricted(left, right, z_offset, epsilon, delta)
 
-    return _run_levels(leaf_rows, spec, node_combine)
+    return _run_levels(leaf_rows, node_combine)
 
 
 def compute_subtree_rows(
     leaf_rows: list[MRow],
     epsilon: float,
     delta: float,
-    kernel: str | KernelSpec = "auto",
 ) -> list[MRow | None]:
     """Run the DP bottom-up over a complete sub-tree of ``m`` leaves.
 
@@ -748,18 +644,11 @@ def compute_subtree_rows(
     in the distributed framework.  Returns ``rows`` indexed by local node
     (``rows[0]`` unused, ``rows[1]`` is the local root's M-row).
     """
-    m = len(leaf_rows)
-    if not is_power_of_two(m):
-        raise InvalidInputError("leaf count must be a power of two")
-    if m == 1:
-        # Degenerate sub-tree: no internal coefficient nodes.
-        return [leaf_rows[0]]
-    spec = resolve_kernel(kernel)
 
     def node_combine(j: int, left: MRow, right: MRow) -> MRow:
-        return combine_rows(left, right, epsilon, delta, kernel=spec)
+        return combine_rows(left, right, epsilon, delta)
 
-    return _run_levels(leaf_rows, spec, node_combine)
+    return _run_levels(leaf_rows, node_combine)
 
 
 def traceback_subtree(
@@ -836,7 +725,6 @@ def min_haar_space_restricted(
     epsilon: float,
     delta: float,
     rho: float = 0.0,
-    kernel: str | KernelSpec = "auto",
 ) -> DualSolution:
     """Restricted MinHaarSpace: minimum-size synopsis with error <= epsilon,
     retaining only (grid-snapped) original Haar coefficient values.
@@ -845,8 +733,7 @@ def min_haar_space_restricted(
     search space; needs at least as many coefficients as the unrestricted
     solver for the same bound (tested).  Demonstrates that the Section 4
     framework's row algebra is not specific to one DP.  ``rho`` selects
-    the approximate tier (:func:`approx_params`); ``kernel`` picks a
-    :data:`DP_KERNELS` entry.
+    the approximate tier (:func:`approx_params`).
     """
     from repro.wavelet.transform import haar_transform
 
@@ -858,9 +745,7 @@ def min_haar_space_restricted(
     coefficients = haar_transform(values)
 
     leaves = leaf_rows(values, epsilon_dp, delta)
-    rows = compute_subtree_rows_restricted(
-        leaves, coefficients, epsilon_dp, delta, kernel=kernel
-    )
+    rows = compute_subtree_rows_restricted(leaves, coefficients, epsilon_dp, delta)
     root_row = rows[1] if n > 1 else rows[0]
     assert root_row is not None
     average_offset = int(round(float(coefficients[0]) / delta))
@@ -894,7 +779,6 @@ def min_haar_space(
     epsilon: float,
     delta: float,
     rho: float = 0.0,
-    kernel: str | KernelSpec = "auto",
 ) -> DualSolution:
     """Centralized MinHaarSpace: minimum-size synopsis with error <= epsilon.
 
@@ -905,8 +789,7 @@ def min_haar_space(
     ``rho > 0`` selects the approximate tier: the DP runs at the
     coarsened :func:`approx_params` grid, returning a synopsis of at most
     the exact solver's size with ``max_error <= (1 + rho) * epsilon``
-    (``rho = 0`` is bit-identical to the exact path).  ``kernel`` picks a
-    :data:`DP_KERNELS` entry.
+    (``rho = 0`` is bit-identical to the exact path).
     """
     values = np.asarray(data, dtype=np.float64)
     if values.ndim != 1 or not is_power_of_two(values.shape[0]):
@@ -915,7 +798,7 @@ def min_haar_space(
     epsilon_dp, delta = approx_params(epsilon, delta, n, rho)
 
     leaves = leaf_rows(values, epsilon_dp, delta)
-    rows = compute_subtree_rows(leaves, epsilon_dp, delta, kernel=kernel)
+    rows = compute_subtree_rows(leaves, epsilon_dp, delta)
     root_row = rows[1] if n > 1 else rows[0]
     assert root_row is not None
     size, error, chosen = finalize_root(root_row, epsilon_dp, delta)

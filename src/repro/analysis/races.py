@@ -11,8 +11,7 @@ root* — code the repo actually runs on more than one worker at once:
   under speculation even on a single worker.
 * Callables handed to a thread/process pool (``Executor.map`` /
   ``submit``), e.g. the ``map_task`` closures of
-  :class:`~repro.mapreduce.parallel.ThreadPoolRuntime` and the sibling
-  combine lambda of the ``parallel`` DP kernel's ``_run_levels`` walk.
+  :class:`~repro.mapreduce.parallel.ThreadPoolRuntime`.
 
 From each root a taint — the set of parameter/closure names bound to
 objects shared across concurrent executions — propagates along resolved

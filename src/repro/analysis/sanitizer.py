@@ -140,7 +140,7 @@ class Sanitizer:
         """Hash one kernel sub-tree's row table.
 
         Called from the DP combine path, possibly concurrently (the
-        ``parallel`` kernel); the digest list is canonicalized by
+        thread runtime's map tasks); the digest list is canonicalized by
         sorting in :meth:`report`, so collection order cannot matter.
         """
         digest = stable_digest(rows)

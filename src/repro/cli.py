@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.algos.minhaarspace import DP_KERNELS
 from repro.analysis import sanitizer as _sanitizer
 from repro.core.thresholding import ALGORITHMS, build_synopsis
 from repro.exceptions import ReproError
@@ -96,7 +95,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
             subtree_leaves=args.subtree_leaves,
             cluster=cluster,
             rho=args.dp_rho,
-            dp_kernel=args.dp_kernel,
             layer_plan=args.layer_plan,
         )
     finally:
@@ -192,7 +190,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             base_leaves=args.base_leaves,
             subtree_leaves=args.subtree_leaves,
             rho=args.dp_rho,
-            dp_kernel=args.dp_kernel,
         )
         print(
             f"created {name} v{version.version} tier={version.tier} "
@@ -268,14 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="approximate DP tier coarsening knob: 0 is the exact DP, "
         "rho > 0 inflates the achieved error by at most (1 + rho) while "
         "shrinking M-rows and shuffle bytes (indirect-haar*/dindirect-haar*)",
-    )
-    build.add_argument(
-        "--dp-kernel",
-        default="auto",
-        choices=sorted(DP_KERNELS),
-        help="DP combine kernel: 'auto' dispatches per row size, "
-        "'scalar'/'windowed' pin one kernel, 'parallel' adds a thread "
-        "pool over each level's sibling sub-trees; all are bit-identical",
     )
     build.add_argument(
         "--layer-plan",
@@ -392,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--delta", type=float, default=1.0, help="DP quantization step")
     serve.add_argument("--dp-rho", type=float, default=0.0, help="approximate DP knob")
-    serve.add_argument("--dp-kernel", default="auto", choices=sorted(DP_KERNELS))
     serve.add_argument(
         "--rebuild-mode",
         default="incremental",

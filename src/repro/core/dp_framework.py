@@ -37,14 +37,12 @@ from numpy.typing import ArrayLike
 
 from repro.algos.minhaarspace import (
     DualSolution,
-    KernelSpec,
     MRow,
     combine_rows,
     compute_subtree_rows,
     finalize_root,
     leaf_row,
     leaf_rows,
-    resolve_kernel,
     traceback_subtree,
 )
 from repro.exceptions import InfeasibleErrorBound, InvalidInputError
@@ -106,14 +104,11 @@ class RowDP:
 class MinHaarSpaceDP(RowDP):
     """MinHaarSpace as a pluggable row DP (rows keyed by incoming value)."""
 
-    def __init__(
-        self, epsilon: float, delta: float, kernel: str | KernelSpec = "auto"
-    ) -> None:
+    def __init__(self, epsilon: float, delta: float) -> None:
         if delta <= 0:
             raise InvalidInputError("delta must be strictly positive")
         self.epsilon = float(epsilon)
         self.delta = float(delta)
-        self.kernel = resolve_kernel(kernel)
 
     def leaf_row(self, value: float) -> MRow:
         return leaf_row(value, self.epsilon, self.delta)
@@ -124,10 +119,10 @@ class MinHaarSpaceDP(RowDP):
     def subtree_rows(
         self, leaf_rows: list[MRow], leaf_values: ArrayLike | None = None
     ) -> list[MRow | None]:
-        return compute_subtree_rows(leaf_rows, self.epsilon, self.delta, kernel=self.kernel)
+        return compute_subtree_rows(leaf_rows, self.epsilon, self.delta)
 
     def combine(self, left: MRow, right: MRow) -> MRow:
-        return combine_rows(left, right, self.epsilon, self.delta, kernel=self.kernel)
+        return combine_rows(left, right, self.epsilon, self.delta)
 
     def finalize(self, root_row: MRow, overall_average: float = 0.0) -> tuple[int, float, int]:
         return finalize_root(root_row, self.epsilon, self.delta)
@@ -146,14 +141,11 @@ class MinHaarSpaceRestrictedDP(RowDP):
     over unchanged — the demonstration that Section 4 is DP-agnostic.
     """
 
-    def __init__(
-        self, epsilon: float, delta: float, kernel: str | KernelSpec = "auto"
-    ) -> None:
+    def __init__(self, epsilon: float, delta: float) -> None:
         if delta <= 0:
             raise InvalidInputError("delta must be strictly positive")
         self.epsilon = float(epsilon)
         self.delta = float(delta)
-        self.kernel = resolve_kernel(kernel)
 
     def leaf_row(self, value: float) -> MRow:
         return leaf_row(value, self.epsilon, self.delta)
@@ -171,7 +163,7 @@ class MinHaarSpaceRestrictedDP(RowDP):
             raise InvalidInputError("the restricted DP needs the sub-tree leaf values")
         local_coefficients = haar_transform(np.asarray(leaf_values, dtype=np.float64))
         return compute_subtree_rows_restricted(
-            leaf_rows, local_coefficients, self.epsilon, self.delta, kernel=self.kernel
+            leaf_rows, local_coefficients, self.epsilon, self.delta
         )
 
     def finalize(self, root_row: MRow, overall_average: float = 0.0) -> tuple[int, float, int]:
@@ -508,7 +500,6 @@ def dm_haar_space(
     construct: bool = True,
     restricted: bool = False,
     rho: float = 0.0,
-    kernel: str | KernelSpec = "auto",
     layer_plan: LayerPlan | str | None = None,
 ) -> DualSolution:
     """DMHaarSpace: the distributed MinHaarSpace (Section 4).
@@ -524,9 +515,7 @@ def dm_haar_space(
     :func:`~repro.algos.minhaarspace.approx_params` grid — every shipped
     M-row shrinks accordingly, and the Eq. 6 checker
     (:func:`repro.observe.bounds.check_dmhaarspace_trace`) budgets with
-    the same coarsened parameters.  ``kernel`` picks a
-    :data:`~repro.algos.minhaarspace.DP_KERNELS` entry for the map-side
-    sub-tree DPs.
+    the same coarsened parameters.
 
     ``layer_plan`` overrides the fixed-``subtree_leaves`` banding: a
     :class:`~repro.core.partitioning.LayerPlan`, a spec string
@@ -546,9 +535,9 @@ def dm_haar_space(
     nominal_delta = delta
     epsilon_dp, delta = approx_params(epsilon, delta, n, rho)
     dp: RowDP = (
-        MinHaarSpaceRestrictedDP(epsilon_dp, delta, kernel=kernel)
+        MinHaarSpaceRestrictedDP(epsilon_dp, delta)
         if restricted
-        else MinHaarSpaceDP(epsilon_dp, delta, kernel=kernel)
+        else MinHaarSpaceDP(epsilon_dp, delta)
     )
 
     if n == 1:
@@ -556,7 +545,7 @@ def dm_haar_space(
             from repro.algos.minhaarspace import min_haar_space, min_haar_space_restricted
 
             solver = min_haar_space_restricted if restricted else min_haar_space
-            return solver(values, epsilon, delta, rho=rho, kernel=kernel)
+            return solver(values, epsilon, delta, rho=rho)
 
     plan = resolve_layer_plan(layer_plan, n, epsilon, nominal_delta, cluster, rho=rho)
     driver = LayeredDPDriver(dp, cluster, subtree_leaves, plan=plan)

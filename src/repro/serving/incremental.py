@@ -4,7 +4,7 @@ Two maintenance tiers, one per thresholding family:
 
 * :class:`DPMaintainer` — MinHaarSpace at a *pinned* error target.  The
   layered DP's per-sub-tree rows are pure functions of ``(sub-tree
-  data, epsilon, delta, kernel)``, so a :class:`~repro.core.dp_framework.
+  data, epsilon, delta)``, so a :class:`~repro.core.dp_framework.
   DPRowCache` carried across builds lets :meth:`~repro.core.dp_framework.
   LayeredDPDriver.bottom_up` re-run only the sub-trees overlapping the
   appended leaf range (:func:`~repro.core.partitioning.dirty_subtrees`)
@@ -197,7 +197,6 @@ class DPMaintainer:
         epsilon: float,
         delta: float = 1.0,
         subtree_leaves: int = 1024,
-        kernel: str = "auto",
         rho: float = 0.0,
     ) -> None:
         if epsilon < 0:
@@ -211,7 +210,6 @@ class DPMaintainer:
         self.epsilon = float(epsilon)
         self.delta = float(delta)
         self.subtree_leaves = subtree_leaves
-        self.kernel = kernel
         self.rho = float(rho)
         self._n = 0
         self._complete = False
@@ -263,9 +261,7 @@ class DPMaintainer:
         epsilon_dp, delta_eff = approx_params(self.epsilon, self.delta, n, self.rho)
         if n == 1:
             with cluster.driver():
-                solution = min_haar_space(
-                    data, self.epsilon, self.delta, rho=self.rho, kernel=self.kernel
-                )
+                solution = min_haar_space(data, self.epsilon, self.delta, rho=self.rho)
             synopsis = solution.synopsis
             synopsis.meta.update(
                 {
@@ -277,7 +273,7 @@ class DPMaintainer:
             self._complete = False
             return synopsis, MaintenanceStats("centralized", 1, 1, 0)
 
-        dp = MinHaarSpaceDP(epsilon_dp, delta_eff, kernel=self.kernel)
+        dp = MinHaarSpaceDP(epsilon_dp, delta_eff)
         driver = LayeredDPDriver(dp, cluster, self.subtree_leaves)
         result = driver.bottom_up(data, cache=self._cache, dirty_range=dirty)
         with cluster.driver():

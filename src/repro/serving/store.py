@@ -264,7 +264,6 @@ class ShardedSynopsisStore:
         base_leaves: int = 1024,
         subtree_leaves: int = 1024,
         rho: float = 0.0,
-        dp_kernel: str = "auto",
     ) -> SeriesVersion:
         """Register ``data`` under ``name`` and build version 1.
 
@@ -283,21 +282,17 @@ class ShardedSynopsisStore:
             params: dict[str, Any] = {"budget": budget, "base_leaves": base_leaves}
         elif tier == "dp":
             if epsilon is None:
-                epsilon = serving_error_target(
-                    values, budget, delta, rho=rho, dp_kernel=dp_kernel
-                )
+                epsilon = serving_error_target(values, budget, delta, rho=rho)
             maintainer = DPMaintainer(
                 epsilon,
                 delta=delta,
                 subtree_leaves=subtree_leaves,
-                kernel=dp_kernel,
                 rho=rho,
             )
             params = {
                 "epsilon": epsilon,
                 "delta": delta,
                 "subtree_leaves": subtree_leaves,
-                "kernel": dp_kernel,
                 "rho": rho,
             }
         else:
@@ -538,11 +533,13 @@ class ShardedSynopsisStore:
                     int(params["budget"]), base_leaves=int(params["base_leaves"])
                 )
             else:
+                # Older DP-tier files also name a combine kernel; every
+                # kernel produced the same rows, so the choice is dropped.
+                params.pop("kernel", None)
                 maintainer = DPMaintainer(
                     float(params["epsilon"]),
                     delta=float(params["delta"]),
                     subtree_leaves=int(params["subtree_leaves"]),
-                    kernel=str(params["kernel"]),
                     rho=float(params["rho"]),
                 )
             data = np.asarray(entry["data"], dtype=np.float64)

@@ -59,14 +59,14 @@ class TestBuild:
         assert code == 1
 
     def test_build_with_rho_and_kernel(self, data_file, tmp_path):
-        # The coarsened tier + parallel kernel path must still respect
-        # the budget and record the knob in the synopsis meta.
+        # The coarsened tier must still respect the budget and record
+        # the knob in the synopsis meta.
         out = str(tmp_path / "syn.json")
         code = main(
             [
                 "build", data_file, "--budget", "32",
                 "--algorithm", "indirect-haar", "--delta", "0.5",
-                "--dp-rho", "0.1", "--dp-kernel", "parallel",
+                "--dp-rho", "0.1",
                 "--output", out,
             ]
         )
@@ -90,16 +90,6 @@ class TestBuild:
             assert code == 0
             outs.append(json.loads(open(out).read())["coefficients"])
         assert outs[0] == outs[1]
-
-    def test_unknown_dp_kernel_rejected(self, data_file, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(
-                [
-                    "build", data_file, "--budget", "8",
-                    "--dp-kernel", "simd",
-                ]
-            )
-        assert exit_info.value.code == 2
 
 
 class TestQueryAndEvaluate:

@@ -14,9 +14,7 @@ import pytest
 
 import repro.algos.minhaarspace as mhs
 from repro.algos.minhaarspace import (
-    DP_KERNELS,
     INFEASIBLE_COUNT,
-    KernelSpec,
     MRow,
     combine_rows,
     combine_rows_restricted,
@@ -26,7 +24,6 @@ from repro.algos.minhaarspace import (
     leaf_rows,
     min_haar_space,
     min_haar_space_restricted,
-    resolve_kernel,
 )
 from repro.exceptions import InfeasibleErrorBound
 
@@ -219,7 +216,9 @@ class TestEndToEndEquivalence:
     def test_min_haar_space_restricted_same_synopsis(self, monkeypatch):
         data = np.random.default_rng(9).integers(0, 500, 256).astype(float)
         vectorized = min_haar_space_restricted(data, 60.0, 1.0)
-        monkeypatch.setattr(mhs, "SCALAR_FALLBACK_CELLS", 10**12)
+        monkeypatch.setattr(
+            mhs, "combine_rows_restricted", combine_rows_restricted_scalar
+        )
         scalar = min_haar_space_restricted(data, 60.0, 1.0)
         assert vectorized.size == scalar.size
         assert vectorized.max_error == scalar.max_error
@@ -233,55 +232,34 @@ class TestEndToEndEquivalence:
         assert restricted.epsilon == 25.0
 
 
+# How to force every combine of a solve onto one kernel: the unrestricted
+# solve dispatches on SCALAR_FALLBACK_CELLS, the restricted solve calls
+# combine_rows_restricted by module name.
+UNRESTRICTED_FALLBACK_CELLS = {"scalar": 10**12, "windowed": 0}
+RESTRICTED_KERNELS = {"scalar": combine_rows_restricted_scalar}
+
+
 class TestKernelRegistry:
-    """Every registry entry trades only time, never output."""
+    """Forcing any one combine kernel trades only time, never output."""
 
-    def test_resolve_kernel_by_name_and_spec(self):
-        spec = resolve_kernel("parallel")
-        assert spec.parallel and spec.name == "parallel"
-        assert resolve_kernel(spec) is spec  # specs pass through untouched
-        assert resolve_kernel("scalar").force == "scalar"
-        assert resolve_kernel("windowed").force == "windowed"
-        assert resolve_kernel("auto").force is None
-
-    def test_unknown_kernel_name_lists_the_registry(self):
-        with pytest.raises(ValueError) as err:
-            resolve_kernel("simd")
-        for name in DP_KERNELS:
-            assert name in str(err.value)
-
-    @pytest.mark.parametrize("kernel", sorted(DP_KERNELS))
-    def test_every_kernel_bit_identical_unrestricted(self, kernel):
+    @pytest.mark.parametrize("kernel", sorted(UNRESTRICTED_FALLBACK_CELLS))
+    def test_every_kernel_bit_identical_unrestricted(self, monkeypatch, kernel):
         data = np.random.default_rng(41).integers(0, 500, 256).astype(float)
         reference = min_haar_space(data, 30.0, 0.25)
-        got = min_haar_space(data, 30.0, 0.25, kernel=kernel)
+        monkeypatch.setattr(
+            mhs, "SCALAR_FALLBACK_CELLS", UNRESTRICTED_FALLBACK_CELLS[kernel]
+        )
+        got = min_haar_space(data, 30.0, 0.25)
         assert got.size == reference.size
         assert got.max_error == reference.max_error
         assert got.synopsis.coefficients == reference.synopsis.coefficients
 
-    @pytest.mark.parametrize("kernel", sorted(DP_KERNELS))
-    def test_every_kernel_bit_identical_restricted(self, kernel):
+    @pytest.mark.parametrize("kernel", sorted(RESTRICTED_KERNELS))
+    def test_every_kernel_bit_identical_restricted(self, monkeypatch, kernel):
         data = np.random.default_rng(43).integers(0, 500, 128).astype(float)
         reference = min_haar_space_restricted(data, 60.0, 0.5)
-        got = min_haar_space_restricted(data, 60.0, 0.5, kernel=kernel)
+        monkeypatch.setattr(mhs, "combine_rows_restricted", RESTRICTED_KERNELS[kernel])
+        got = min_haar_space_restricted(data, 60.0, 0.5)
         assert got.size == reference.size
         assert got.max_error == reference.max_error
-        assert got.synopsis.coefficients == reference.synopsis.coefficients
-
-    def test_parallel_walk_matches_serial_even_below_the_gate(self, monkeypatch):
-        # Force the executor path on rows the size gate would normally
-        # keep serial: the level walk must still collect in index order.
-        monkeypatch.setattr(mhs, "PARALLEL_MIN_ENTRIES", 0)
-        data = np.random.default_rng(47).integers(0, 200, 128).astype(float)
-        parallel = min_haar_space(data, 20.0, 0.5, kernel="parallel")
-        serial = min_haar_space(data, 20.0, 0.5, kernel="auto")
-        assert parallel.max_error == serial.max_error
-        assert parallel.synopsis.coefficients == serial.synopsis.coefficients
-
-    def test_parallel_spec_respects_explicit_worker_count(self):
-        spec = KernelSpec(name="parallel", parallel=True, workers=3)
-        assert spec.resolved_workers() == 3
-        data = np.random.default_rng(53).integers(0, 200, 64).astype(float)
-        got = min_haar_space(data, 20.0, 0.5, kernel=spec)
-        reference = min_haar_space(data, 20.0, 0.5)
         assert got.synopsis.coefficients == reference.synopsis.coefficients

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from repro.algos.greedy_abs import GreedyRun, Removal, greedy_abs
-from repro.algos.minhaarspace import MRow, min_haar_space
+from repro.algos.minhaarspace import MRow, min_haar_space, min_haar_space_restricted
 from repro.core.dgreedy import _best_cut_over_thresholds, d_greedy_abs
 from repro.core.dindirect import _EvaluateSynopsisJob, _LowerBoundJob
+from repro.core.dp_framework import dm_haar_space
 from repro.core.partitioning import dp_layers
+from repro.core.thresholding import build_synopsis
 from repro.exceptions import InvalidInputError
 from repro.mapreduce import LocalRuntime, aligned_splits
+from repro.serving import ShardedSynopsisStore
 from repro.wavelet.transform import haar_transform
 
 
@@ -159,3 +162,47 @@ class TestHWTopkEdges:
         data = np.full(16, 3.0)  # only c_0 is non-zero
         synopsis = h_wtopk_synopsis(data, 8, block_size=4)
         assert synopsis.coefficients == {0: pytest.approx(3.0)}
+
+
+_DP_DATA = np.random.default_rng(5).integers(0, 100, 64).astype(float)
+
+#: DP entry points by name, each taking ``(epsilon, delta, rho)``; the
+#: ``build_synopsis`` algorithms search for epsilon themselves.
+_DP_ENTRIES = {
+    "min_haar_space": lambda epsilon, delta, rho: min_haar_space(
+        _DP_DATA, epsilon, delta, rho=rho
+    ),
+    "min_haar_space_restricted": lambda epsilon, delta, rho: min_haar_space_restricted(
+        _DP_DATA, epsilon, delta, rho=rho
+    ),
+    "dm_haar_space": lambda epsilon, delta, rho: dm_haar_space(
+        _DP_DATA, epsilon, delta, subtree_leaves=16, rho=rho
+    ),
+    "indirect-haar": lambda epsilon, delta, rho: build_synopsis(
+        _DP_DATA, 8, "indirect-haar", delta=delta, rho=rho
+    ),
+    "dindirect-haar": lambda epsilon, delta, rho: build_synopsis(
+        _DP_DATA, 8, "dindirect-haar", delta=delta, subtree_leaves=16, rho=rho
+    ),
+}
+
+_NON_FINITE_CASES = [
+    (entry, parameter, value)
+    for entry in [*_DP_ENTRIES, "store"]
+    for parameter in ("epsilon", "delta", "rho")
+    if not (parameter == "epsilon" and entry.endswith("indirect-haar"))
+    for value in (math.nan, math.inf)
+]
+
+
+class TestNonFiniteDPParameters:
+    @pytest.mark.parametrize("entry,parameter,value", _NON_FINITE_CASES)
+    def test_rejected_with_invalid_input(self, entry, parameter, value):
+        params = {"epsilon": 20.0, "delta": 1.0, "rho": 0.0, parameter: value}
+        store = ShardedSynopsisStore()
+        with pytest.raises(InvalidInputError, match="finite"):
+            if entry == "store":
+                store.create("s", _DP_DATA, tier="dp", subtree_leaves=16, **params)
+            else:
+                _DP_ENTRIES[entry](**params)
+        assert "s" not in store and store.history() == []

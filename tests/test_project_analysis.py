@@ -6,8 +6,8 @@ call-graph summaries (``repro.analysis.callgraph``), and the race /
 pickle analyses built on them — plus the repo-wide clean gate.
 
 The concurrency fixtures mirror the real shapes the detector was built
-for: a ``_run_levels``-style thread-pool level walk, a pool-spawned
-closure mutating a shared cell, and a job whose ``map`` writes ``self``
+for: a thread-pool level walk, a pool-spawned closure mutating a
+shared cell, and a job whose ``map`` writes ``self``
 (the speculation double-write case: a backup attempt re-runs the whole
 task against the same instance).
 """
@@ -248,9 +248,8 @@ CLEAN_JOB = """
             yield split.split_id, total
 """
 
-#: A _run_levels-style walk whose pool-spawned worker mutates a closure
-#: cell instead of returning results (the racy variant of the DP level
-#: walk; the real one collects via Executor.map and writes driver-side).
+#: A thread-pool level walk whose pool-spawned worker mutates a closure
+#: cell instead of returning results.
 RACY_LEVEL_WALK = """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -534,12 +533,10 @@ class TestRepoGate:
         index = load_or_build_index([repo_src], None)
         analysis = RaceAnalysis(index)
         roots = {root.qualname for root in analysis.default_roots()}
-        # The three concurrency families the detector exists for: job
-        # task methods, the thread-pool runtime's task closures, and the
-        # DP kernel's level-walk lambda.
+        # The two concurrency families the detector exists for: job task
+        # methods and the thread-pool runtime's task closures.
         assert "repro.core.dp_framework._BottomUpLayerJob.map" in roots
         assert any("map_task" in root for root in roots)
-        assert any("_run_levels" in root for root in roots)
 
     def test_repo_pickle_verdicts_cover_all_concrete_jobs(self):
         repo_src = Path(__file__).resolve().parent.parent / "src"

@@ -10,6 +10,7 @@ counters and prove eviction never changes answers, only work.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -238,6 +239,31 @@ class TestStoreApi:
         assert reloaded_version.stats.mode == "full"
         assert original_version.stats.mode == "incremental"
         assert reloaded_version.digest == original_version.digest
+
+    def test_load_drops_the_kernel_param_of_older_dp_files(self, tmp_path):
+        rng = np.random.default_rng(17)
+        initial, block = rng.normal(50, 10, 100), rng.normal(50, 10, 12)
+        store = ShardedSynopsisStore(segment_leaves=16)
+        store.create("d", initial, tier="dp", epsilon=4.0, subtree_leaves=16)
+        path = tmp_path / "store.json"
+        store.save(path)
+        # Older DP-tier files also carried the combine kernel's name.
+        payload = json.loads(path.read_text())
+        payload["series"]["d"]["params"]["kernel"] = "parallel"
+        path.write_text(json.dumps(payload))
+
+        loaded = ShardedSynopsisStore.load(path)
+        queries = [Query("point", "d", index=i) for i in range(0, 100, 7)]
+        queries.append(Query("range_sum", "d", lo=3, hi=90))
+        assert loaded.batch(queries) == store.batch(queries)
+        scratch = ShardedSynopsisStore(segment_leaves=16)
+        scratch.create(
+            "d", np.concatenate([initial, block]), tier="dp", epsilon=4.0,
+            subtree_leaves=16,
+        )
+        assert loaded.append("d", block).digest == scratch.snapshot("d").digest
+        loaded.save(path)
+        assert "kernel" not in json.loads(path.read_text())["series"]["d"]["params"]
 
     def test_digest_reports_compare_clean_across_modes(self):
         rng = np.random.default_rng(21)
