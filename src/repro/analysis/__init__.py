@@ -1,27 +1,23 @@
 """The repro invariant analyzer: per-file lint rules + whole-program analyses.
 
 The per-file families encode invariants visible in one module's syntax —
-the hazards that broke (or nearly broke) earlier PRs — plus the typing
-gate backing the CI's ``mypy --strict`` job:
+the hazards that broke (or nearly broke) earlier PRs:
 
 ==========  ==============================================================
-PS001/002   process-safety: jobs must pickle and must not write driver
-            state from task methods (or declare ``process_safe = False``)
 DT001-003   determinism: no set-order emits, unseeded RNGs, or
             ``id()``-keyed dicts
 KC001-004   kernel contracts (``algos/``, ``bench/``): explicit dtypes,
             intentional float equality, no argument mutation, no
             completion-order or set-order result collection
-AH001-003   API hygiene: mutable defaults, bare ``except``, ``__all__``
-            drift in package ``__init__`` files
-TG001       typing gate: every definition fully annotated
+AH001-003   API hygiene: mutable defaults (functions and lambdas), bare
+            ``except``, ``__all__`` drift in package ``__init__`` files
 ==========  ==============================================================
 
 The whole-program layer (:mod:`repro.analysis.project` symbol table +
 :mod:`repro.analysis.callgraph` summaries) adds interprocedural families:
 
 ==========  ==============================================================
-RC001-004   shared-state races from concurrency roots (task methods,
+RC001-003   shared-state races from concurrency roots (task methods,
             pool-spawned closures) — see :mod:`repro.analysis.races`
 PS003/004   transitive pickle-safety verdicts vs. the declared
             ``process_safe`` flag — see :mod:`repro.analysis.pickling`
@@ -29,8 +25,10 @@ LS001-003   suppression hygiene: no blanket ignores, no stale entries,
             justified RC suppressions — see :mod:`repro.analysis.core`
 ==========  ==============================================================
 
-Run ``python -m repro.analysis src/`` (the CI lint gate), or call
-:func:`analyze_paths` / :func:`project_findings` programmatically.
+Each bug class has one check: annotation coverage is left to CI's
+``mypy --strict``, and process safety to the transitive PS003/PS004
+verdicts.  Run ``python -m repro.analysis src/`` (the CI lint gate), or
+call :func:`analyze_paths` / :func:`project_findings` programmatically.
 Suppress one finding with a trailing ``# lint: ignore[RULE-ID]`` comment
 (RC suppressions additionally need ``-- justification``);
 ``docs/STATIC_ANALYSIS.md`` documents every rule with the incident that
@@ -72,10 +70,8 @@ from repro.analysis.kernel_contracts import (
     NondeterministicCollection,
 )
 from repro.analysis.pickling import PICKLE_RULES, job_pickle_verdicts, pickle_findings
-from repro.analysis.process_safety import JobNotModuleLevel, TaskMethodMutatesSelf
-from repro.analysis.project import ProjectIndex, load_or_build_index
+from repro.analysis.project import ProjectIndex, build_index
 from repro.analysis.races import RACE_RULES, RaceAnalysis, race_findings
-from repro.analysis.typing_gate import UnannotatedDefinition
 
 __all__ = [
     "AllDrift",
@@ -83,7 +79,6 @@ __all__ = [
     "Finding",
     "FloatLiteralEquality",
     "IdKeyedMapping",
-    "JobNotModuleLevel",
     "MissingExplicitDtype",
     "MutableDefaultArgument",
     "MutatedArgument",
@@ -96,17 +91,15 @@ __all__ = [
     "Rule",
     "SUPPRESSION_RULES",
     "SetIterationIntoEmit",
-    "TaskMethodMutatesSelf",
-    "UnannotatedDefinition",
     "UnseededRandomness",
     "all_rules",
     "analyze_paths",
     "analyze_source",
     "apply_suppressions",
+    "build_index",
     "dotted_name",
     "iter_python_files",
     "job_pickle_verdicts",
-    "load_or_build_index",
     "parse_module",
     "pickle_findings",
     "project_findings",
@@ -119,8 +112,6 @@ __all__ = [
 def all_rules() -> list[Rule]:
     """One instance of every rule, in rule-id order."""
     rules: list[Rule] = [
-        JobNotModuleLevel(),
-        TaskMethodMutatesSelf(),
         SetIterationIntoEmit(),
         UnseededRandomness(),
         IdKeyedMapping(),
@@ -131,7 +122,6 @@ def all_rules() -> list[Rule]:
         MutableDefaultArgument(),
         BareExcept(),
         AllDrift(),
-        UnannotatedDefinition(),
     ]
     return sorted(rules, key=lambda rule: rule.rule_id)
 
@@ -141,24 +131,22 @@ def project_rule_ids() -> set[str]:
     return set(RACE_RULES) | set(PICKLE_RULES)
 
 
-def project_findings(
-    paths: list[str | Path], cache_dir: Path | None = None
-) -> list[Finding]:
+def project_findings(paths: list[str | Path]) -> list[Finding]:
     """Whole-program findings (RC races + PS003/PS004) for ``paths``.
 
-    Builds (or loads from ``cache_dir``) the project symbol table, runs
-    the race detector and the pickle-safety verdicts, then filters the
-    results through each file's rule-scoped suppressions.  Misuse
-    meta-findings (LS001/LS003) are left to the per-file pass — which
-    walked the same files already — so one bad comment is reported once;
-    unused-suppression findings (LS002) for the interprocedural rule ids
-    are reported here, where those ids are actually known.
+    Builds the project symbol table, runs the race detector and the
+    pickle-safety verdicts, then filters the results through each file's
+    rule-scoped suppressions.  Misuse meta-findings (LS001/LS003) are
+    left to the per-file pass — which walked the same files already — so
+    one bad comment is reported once; unused-suppression findings (LS002)
+    for the interprocedural rule ids are reported here, where those ids
+    are actually known.
     """
     from pathlib import Path as _Path
 
     from repro.analysis.callgraph import build_summaries
 
-    index = load_or_build_index([_Path(p) for p in paths], cache_dir)
+    index = build_index([_Path(p) for p in paths])
 
     summaries = build_summaries(index)
     raw = race_findings(index, summaries) + pickle_findings(index, summaries)

@@ -1,12 +1,10 @@
 """``python -m repro.analysis [paths]`` — the CI lint gate.
 
-Runs the per-file rule pack and (unless ``--no-project``) the
-whole-program analyses — the RC race detector and the PS003/PS004
-pickle-safety verdicts — over the same paths.  ``--sarif-file`` writes
-the combined findings as SARIF 2.1.0 for inline PR annotation;
-``--cache-dir`` caches the project symbol table keyed on the source
-digest; ``--compare-digests`` compares two sanitizer reports instead of
-analyzing anything.
+Runs the per-file rule pack and the whole-program analyses — the RC
+race detector and the PS003/PS004 pickle-safety verdicts — over the
+same paths.  ``--sarif-file`` writes the combined findings as SARIF
+2.1.0 for inline PR annotation; ``--compare-digests`` compares two
+sanitizer reports instead of analyzing anything.
 
 Exit status: 0 when clean (or reports match), 1 when findings were
 reported (or reports differ), 2 on usage or parse errors.
@@ -34,9 +32,8 @@ from repro.analysis.sarif import write_sarif
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="repro invariant analyzer (process-safety, determinism, "
-        "kernel contracts, API hygiene, typing gate, interprocedural races, "
-        "transitive pickle safety)",
+        description="repro invariant analyzer (determinism, kernel contracts, "
+        "API hygiene, interprocedural races, transitive pickle safety)",
     )
     parser.add_argument(
         "paths",
@@ -46,18 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print every rule and exit"
-    )
-    parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help="skip the whole-program analyses (races, pickle verdicts)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="cache the project symbol table here, keyed on source digest",
     )
     parser.add_argument(
         "--sarif-file",
@@ -120,8 +105,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         findings = analyze_paths(args.paths, rules)
-        if not args.no_project:
-            findings.extend(project_findings(list(args.paths), args.cache_dir))
+        findings.extend(project_findings(list(args.paths)))
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

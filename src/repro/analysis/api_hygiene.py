@@ -1,7 +1,9 @@
 """API-hygiene rules: small traps at the package surface.
 
-* **AH001** — mutable default arguments (``def f(x=[])``): the default is
-  evaluated once and shared across calls.
+* **AH001** — mutable default arguments (``def f(x=[])``, and lambdas
+  alike): the default is evaluated once and shared across calls — across
+  concurrent tasks too, so this is also the analyzer's race check for
+  shared defaults.
 * **AH002** — bare ``except:``: swallows ``KeyboardInterrupt`` and
   ``SystemExit``; catch a concrete exception (the repo has a
   :class:`~repro.exceptions.ReproError` hierarchy for its own failures).
@@ -34,8 +36,9 @@ class MutableDefaultArgument(Rule):
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
+            name = "<lambda>" if isinstance(node, ast.Lambda) else node.name
             defaults = [*node.args.defaults, *node.args.kw_defaults]
             for default in defaults:
                 if default is None:
@@ -44,7 +47,7 @@ class MutableDefaultArgument(Rule):
                     yield module.finding(
                         self.rule_id,
                         default,
-                        f"function {node.name!r} has a mutable default argument; "
+                        f"function {name!r} has a mutable default argument; "
                         "use None and create the container inside the function",
                     )
 

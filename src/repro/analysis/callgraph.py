@@ -122,8 +122,6 @@ class FunctionSummary:
     bound: set[str] = field(default_factory=set)
     #: Free names: read/written here, bound in an enclosing function.
     frees: set[str] = field(default_factory=set)
-    #: Params whose default is a mutable literal (shared across calls).
-    mutable_default_params: set[str] = field(default_factory=set)
     global_decls: set[str] = field(default_factory=set)
     nonlocal_decls: set[str] = field(default_factory=set)
     writes: list[WriteSite] = field(default_factory=list)
@@ -650,15 +648,6 @@ def _collect_params(summary: FunctionSummary, node: ast.FunctionDef | ast.AsyncF
         if extra is not None:
             summary.params.append(extra.arg)
     summary.bound.update(summary.params)
-    defaults = list(args.defaults)
-    positional = list(args.posonlyargs) + list(args.args)
-    mutable = (ast.List, ast.Dict, ast.Set)
-    for arg, default in zip(positional[len(positional) - len(defaults):], defaults):
-        if isinstance(default, mutable):
-            summary.mutable_default_params.add(arg.arg)
-    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        if isinstance(default, mutable):
-            summary.mutable_default_params.add(arg.arg)
 
 
 def build_summaries(index: ProjectIndex) -> dict[str, FunctionSummary]:

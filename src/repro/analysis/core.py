@@ -2,9 +2,8 @@
 
 A *rule* inspects one parsed module and yields :class:`Finding` records.
 Rules are deliberately small AST visitors — no type inference, no import
-resolution — because every invariant they encode (process-safety,
-determinism, kernel dtype contracts, API hygiene, the typing gate) is
-visible in a single module's syntax.  The trade-off is documented per
+resolution — because every invariant they encode (determinism, kernel
+dtype contracts, API hygiene) is visible in a single module's syntax.  The trade-off is documented per
 rule in ``docs/STATIC_ANALYSIS.md``: a rule may need an explicit
 suppression where the pattern is intentional.
 

@@ -17,10 +17,11 @@ contracts keep that promise honest:
   clobbering inputs corrupts the next repetition.
 * **KC004** — completion-order or hash-order iteration
   (``as_completed``/``imap_unordered``, looping over a set) in kernel
-  code: the parallel level walk stays bit-identical to the serial one
-  only because results are collected in submission order
-  (``Executor.map``); completion order varies run to run and set order
-  varies across interpreter seeds.
+  code: completion order varies run to run and set order varies across
+  interpreter seeds, so either would make kernel output (and the
+  benchmark's scalar-vs-vectorized diffs) schedule- or seed-dependent.
+  No executor runs in these packages today; the rule keeps it that way
+  unless results are collected in submission order (``Executor.map``).
 """
 
 from __future__ import annotations
@@ -190,13 +191,13 @@ _COMPLETION_ORDER_CALLS = {"as_completed", "imap_unordered"}
 
 
 class NondeterministicCollection(_KernelRule):
-    """KC004: parallel kernels must collect results in submission order."""
+    """KC004: kernel code must not collect in completion or set order."""
 
     rule_id: ClassVar[str] = "KC004"
     summary: ClassVar[str] = (
-        "completion-order or set-order iteration in kernel code; the parallel "
-        "level walk is bit-identical to the serial one only under "
-        "submission-order collection (Executor.map)"
+        "completion-order or set-order iteration in kernel code makes output "
+        "schedule- or hash-seed-dependent; iterate sorted() views and collect "
+        "in submission order (Executor.map)"
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:

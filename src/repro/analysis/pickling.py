@@ -2,9 +2,8 @@
 
 ``MapReduceJob.process_safe`` is a *claim*: the process-pool runtime
 trusts it to decide whether a job may be shipped to worker processes.
-The per-file PS001/PS002 rules check the claim's local plausibility
-(lambdas in ``__init__``); this module *proves or refutes* it from the
-project call graph:
+This module *proves or refutes* it from the project call graph — the
+analyzer's only process-safety check:
 
 * **Driver-state evidence** — a task method (or anything it reaches,
   via :class:`~repro.analysis.races.RaceAnalysis` taint from ``self``)

@@ -12,19 +12,15 @@ queries against this index plus the per-function summaries of
 :mod:`repro.analysis.callgraph`.
 
 The index is *syntactic and annotation-driven*: no code is imported or
-executed.  That makes it safe to run on anything, cacheable by content
-hash (see :func:`load_or_build_index` — the CI lint job keys a cache on
-the source digest so the symbol table is only rebuilt when a source file
-changes), and honest about its imprecision: resolution uses the type
-annotations the ``mypy --strict`` gate already enforces, so an
-unannotated callee is an unresolved edge, not a guess.
+executed.  That makes it safe to run on anything and honest about its
+imprecision: resolution uses the type annotations the ``mypy --strict``
+gate already enforces, so an unannotated callee is an unresolved edge,
+not a guess.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,13 +29,8 @@ __all__ = [
     "FunctionInfo",
     "ModuleInfo",
     "ProjectIndex",
-    "load_or_build_index",
-    "source_tree_digest",
+    "build_index",
 ]
-
-#: Bump when the index layout changes so stale caches never deserialize
-#: into the new shape.
-INDEX_SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -295,7 +286,6 @@ class ProjectIndex:
     modules: dict[str, ModuleInfo] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-    digest: str = ""
 
     # -- construction --------------------------------------------------------
 
@@ -443,7 +433,7 @@ class ProjectIndex:
 
 
 # ---------------------------------------------------------------------------
-# Building from a source tree, with a content-addressed cache
+# Building from a source tree
 # ---------------------------------------------------------------------------
 
 
@@ -470,50 +460,6 @@ def discover_modules(paths: list[Path]) -> dict[str, Path]:
     return files
 
 
-def source_tree_digest(files: dict[str, Path]) -> str:
-    """Content hash of a module set; the symbol-table cache key."""
-    digest = hashlib.sha256()
-    digest.update(f"schema:{INDEX_SCHEMA_VERSION}".encode())
-    for name in sorted(files):
-        digest.update(name.encode())
-        digest.update(b"\x00")
-        digest.update(hashlib.sha256(files[name].read_bytes()).digest())
-    return digest.hexdigest()
-
-
-def load_or_build_index(paths: list[Path], cache_dir: Path | None = None) -> ProjectIndex:
-    """Build the :class:`ProjectIndex` for ``paths``, using ``cache_dir``.
-
-    The cache is keyed on the content digest of every source file: any
-    edit misses and rebuilds, an untouched tree deserializes the pickled
-    table instead of re-parsing ~every module (what keeps the CI lint job
-    inside its wall-time with the whole-program analyses added).  Stale
-    entries are pruned on write; a corrupt or unreadable entry falls back
-    to a rebuild.
-    """
-    files = discover_modules(paths)
-    digest = source_tree_digest(files)
-    cache_file = None
-    if cache_dir is not None:
-        cache_file = cache_dir / f"symtab-{digest[:32]}.pkl"
-        if cache_file.exists():
-            try:
-                with cache_file.open("rb") as handle:
-                    cached = pickle.load(handle)
-                if isinstance(cached, ProjectIndex) and cached.digest == digest:
-                    return cached
-            except Exception:  # noqa: BLE001 - any cache corruption means rebuild
-                pass
-    index = ProjectIndex.from_files(files)
-    index.digest = digest
-    if cache_file is not None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        for stale in cache_dir.glob("symtab-*.pkl"):
-            if stale != cache_file:
-                stale.unlink(missing_ok=True)
-        try:
-            with cache_file.open("wb") as handle:
-                pickle.dump(index, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        except OSError:
-            pass
-    return index
+def build_index(paths: list[Path]) -> ProjectIndex:
+    """Build the :class:`ProjectIndex` for every module under ``paths``."""
+    return ProjectIndex.from_files(discover_modules(paths))

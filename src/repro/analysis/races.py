@@ -27,8 +27,10 @@ walk reaches is then checked:
   stores, in-place container mutators, and RNG draws (a draw advances
   hidden generator state, so a shared generator makes the draw sequence
   schedule-dependent) through a tainted root.
-* **RC004** — a mutable default argument (one shared instance across
-  all concurrent calls) on a reachable function.
+
+Mutable default arguments — one shared instance across all concurrent
+calls — are left to the per-file AH001 rule, which flags them on every
+function, reachable or not.
 
 Writes lexically inside a ``with <...lock>:`` block are *guarded* and
 skipped — that is the ordering-safe idiom.  Anything else needs either
@@ -70,7 +72,6 @@ RACE_RULES = {
     "RC001": "module-global state is written from concurrency-reachable code",
     "RC002": "a closure cell shared across concurrent tasks is written",
     "RC003": "object state shared across concurrent tasks is written",
-    "RC004": "a mutable default argument is shared across concurrent calls",
 }
 
 #: Methods of a job subclass that execute as (potentially concurrent,
@@ -368,9 +369,8 @@ class RaceAnalysis:
     # -- findings ------------------------------------------------------------
 
     def findings(self, roots: list[Root] | None = None) -> list[Finding]:
-        """RC001–RC004 findings from the default (or given) roots."""
+        """RC001–RC003 findings from the default (or given) roots."""
         resolved_roots = roots if roots is not None else self.default_roots()
-        state = self.propagate(resolved_roots)
         findings: list[Finding] = []
         seen: set[tuple[str, int, str]] = set()
         for write in self.shared_writes(resolved_roots):
@@ -401,31 +401,6 @@ class RaceAnalysis:
                     ),
                 )
             )
-        for qualname in sorted(state.reachable):
-            summary = self.summaries[qualname]
-            info = self.index.functions.get(qualname)
-            module = self.index.modules.get(summary.module)
-            if info is None or module is None or not summary.mutable_default_params:
-                continue
-            reason = state.origin.get(qualname, _UNKNOWN_ROOT).reason
-            for param in sorted(summary.mutable_default_params):
-                key = (module.path, info.node.lineno, "RC004")
-                if key in seen:
-                    continue
-                seen.add(key)
-                findings.append(
-                    Finding(
-                        rule="RC004",
-                        path=module.path,
-                        line=info.node.lineno,
-                        col=info.node.col_offset + 1,
-                        message=(
-                            f"mutable default for `{param}` in "
-                            f"{_short(qualname)} is one shared instance "
-                            f"across concurrent calls; {reason}"
-                        ),
-                    )
-                )
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings
 

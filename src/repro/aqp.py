@@ -17,6 +17,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.core.thresholding import build_synopsis
+from repro.data.loader import as_finite_series, atomic_write_text
 from repro.exceptions import InvalidInputError, ReproError
 from repro.wavelet.synopsis import WaveletSynopsis
 from repro.wavelet.synopsis2d import WaveletSynopsis2D
@@ -63,9 +64,7 @@ class SynopsisStore:
         The synopsis records the achieved max-abs guarantee against the
         (padded) data in its metadata; re-adding a name replaces it.
         """
-        values = np.asarray(data, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise InvalidInputError("series must be a non-empty 1-D array")
+        values = as_finite_series(data)
         synopsis = build_synopsis(values, budget, algorithm=algorithm, **build_kwargs)
         padded = np.zeros(synopsis.n)
         padded[: values.size] = values
@@ -173,10 +172,11 @@ class SynopsisStore:
         return rows
 
     def save(self, path: str | Path) -> None:
-        """Serialize the whole store to a JSON file.
+        """Serialize the whole store to a JSON file, replaced atomically.
 
         Entries are tagged ``kind: "1d" | "2d"`` so a load can pick the
-        right synopsis class.
+        right synopsis class.  A crash mid-save leaves the previous file
+        loadable.
         """
         payload = {
             name: {
@@ -186,7 +186,7 @@ class SynopsisStore:
             }
             for name, synopsis in self._synopses.items()
         }
-        Path(path).write_text(json.dumps(payload))
+        atomic_write_text(path, json.dumps(payload))
 
     @classmethod
     def load(cls, path: str | Path) -> "SynopsisStore":

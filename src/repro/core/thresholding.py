@@ -9,7 +9,6 @@ available for finer control.
 
 from __future__ import annotations
 
-import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.algos.conventional import conventional_synopsis
@@ -24,7 +23,7 @@ from repro.core.conventional_dist import (
 )
 from repro.core.dgreedy import d_greedy_abs, d_greedy_rel
 from repro.core.dindirect import d_indirect_haar
-from repro.data.loader import pad_to_power_of_two
+from repro.data.loader import as_finite_series, pad_to_power_of_two
 from repro.exceptions import InvalidInputError
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.hdfs import FileDataset
@@ -67,7 +66,7 @@ def serving_error_target(
     probe's epsilon; the degenerate case where the conventional synopsis
     is already exact falls back to ``delta`` (always feasible there).
     """
-    values = pad_to_power_of_two(np.asarray(data, dtype=np.float64))
+    values = pad_to_power_of_two(data)
     synopsis = indirect_haar(values, budget, delta, rho=rho)
     return float(synopsis.meta.get("epsilon", delta))
 
@@ -89,12 +88,15 @@ def build_synopsis(
     Parameters
     ----------
     data:
-        One-dimensional sequence.  Non-power-of-two lengths are zero-padded
-        when ``pad`` is True (queries on indices past the original length
-        return the padding).  A :class:`~repro.mapreduce.hdfs.FileDataset`
-        keeps the input on disk (out-of-core); only the sub-tree
-        partitioned greedy algorithms (``dgreedy-abs``/``dgreedy-rel``)
-        support it — every other driver materializes the full array.
+        One-dimensional, non-empty sequence of finite values; anything
+        else raises :class:`~repro.exceptions.InvalidInputError`.
+        Non-power-of-two lengths are zero-padded when ``pad`` is True
+        (queries on indices past the original length return the padding).
+        A :class:`~repro.mapreduce.hdfs.FileDataset` keeps the input on
+        disk (out-of-core); only the sub-tree partitioned greedy
+        algorithms (``dgreedy-abs``/``dgreedy-rel``) support it — every
+        other driver materializes the full array.  Its values are not
+        checked here (that would read the whole file).
     budget:
         Maximum number of retained coefficients ``B``.
     algorithm:
@@ -147,9 +149,7 @@ def build_synopsis(
         return d_greedy_rel(
             data, budget, sanity_bound, cluster, base_leaves=subtree_leaves
         )
-    values = np.asarray(data, dtype=np.float64)
-    if pad:
-        values = pad_to_power_of_two(values)
+    values = pad_to_power_of_two(data) if pad else as_finite_series(data)
 
     if algorithm == "greedy-abs":
         return greedy_abs(values, budget)

@@ -1,4 +1,9 @@
-"""Dataset shaping utilities.
+"""Dataset validation, shaping, and persistence utilities.
+
+:func:`as_finite_series` is the one input boundary for in-memory series:
+``build_synopsis`` and both synopsis stores reject non-finite or
+mis-shaped values through it, before any algorithm or store state sees
+them.  :func:`atomic_write_text` saves the stores crash-safely.
 
 The error tree is a complete binary tree, so every algorithm in this
 package expects power-of-two input lengths.  Real datasets rarely oblige;
@@ -8,13 +13,36 @@ pipeline does when partitioning NYCT/WD) or truncate.
 
 from __future__ import annotations
 
+import os
+import threading
+from pathlib import Path
+
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from repro.exceptions import InvalidInputError
 from repro.wavelet.transform import is_power_of_two
 
-__all__ = ["next_power_of_two", "pad_to_power_of_two", "truncate_to_power_of_two", "describe"]
+__all__ = ["as_finite_series", "atomic_write_text", "describe", "next_power_of_two",
+           "pad_to_power_of_two", "truncate_to_power_of_two"]
+
+
+def as_finite_series(data: ArrayLike) -> NDArray[np.float64]:
+    """``data`` as a float64 1-D array (may share memory with ``data``).
+
+    Raises :class:`InvalidInputError` for input that is not
+    one-dimensional, is empty, or holds a NaN or an infinity.
+    """
+    values = np.asarray(data, dtype=np.float64)
+    if values.ndim != 1:
+        raise InvalidInputError("data must be one-dimensional")
+    if values.size == 0:
+        raise InvalidInputError("data must be non-empty")
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise InvalidInputError(f"data must be finite; found {values[bad]} at index {bad}")
+    return values
 
 
 def next_power_of_two(n: int) -> int:
@@ -26,12 +54,8 @@ def next_power_of_two(n: int) -> int:
 
 def pad_to_power_of_two(data: ArrayLike, pad_value: float = 0.0) -> NDArray[np.float64]:
     """Right-pad ``data`` with ``pad_value`` up to the next power of two."""
-    values = np.asarray(data, dtype=np.float64)
-    if values.ndim != 1:
-        raise InvalidInputError("data must be one-dimensional")
+    values = as_finite_series(data)
     n = values.shape[0]
-    if n == 0:
-        raise InvalidInputError("data must be non-empty")
     if is_power_of_two(n):
         return values.copy()
     padded = np.full(next_power_of_two(n), pad_value, dtype=np.float64)
@@ -60,3 +84,24 @@ def describe(data: ArrayLike) -> dict[str, float]:
         "stdv": float(values.std()),
         "max": float(values.max()),
     }
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so a crash never leaves it truncated.
+
+    Writes a temporary file in the same directory, flushes and fsyncs
+    it, then renames it over ``path`` (an atomic replace).  If anything
+    fails before the rename, the temporary file is removed and ``path``
+    keeps its previous contents.
+    """
+    target = Path(path)
+    temp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as stream:
+            stream.write(text)
+            stream.flush()
+            os.fsync(stream.fileno())
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

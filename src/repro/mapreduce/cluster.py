@@ -291,16 +291,12 @@ class ClusterConfig:
     job_startup_seconds: float = 0.02
     shuffle_bytes_per_second: float = 64e6
     #: Hadoop-style speculative execution: when a stage has no pending
-    #: tasks left and idle slots, launch backup attempts against tasks
-    #: running longer than ``speculation_slowdown`` times the
-    #: ``speculation_quantile`` of completed-attempt durations (once
-    #: ``speculation_min_completed`` have finished).  Backups consume a
-    #: slot for as long as they run and appear as speculative attempt
-    #: spans in the trace; the first finisher wins.
+    #: tasks left and idle slots, launch backup attempts against
+    #: stragglers, as :func:`speculative_makespan` defines them (its
+    #: ``quantile``/``slowdown``/``min_completed`` defaults).  Backups
+    #: consume a slot for as long as they run and appear as speculative
+    #: attempt spans in the trace; the first finisher wins.
     speculation: bool = False
-    speculation_quantile: float = 0.75
-    speculation_slowdown: float = 1.5
-    speculation_min_completed: int = 3
 
     def scaled(self, **overrides: Any) -> "ClusterConfig":
         """Return a copy with some fields replaced."""
@@ -404,13 +400,7 @@ class SimulatedCluster:
         if stage is None or not stage.tasks:
             return None
         slots = cfg.map_slots if stage_name == "map" else cfg.reduce_slots
-        return speculative_makespan(
-            self._stage_task_times(stage),
-            slots,
-            quantile=cfg.speculation_quantile,
-            slowdown=cfg.speculation_slowdown,
-            min_completed=cfg.speculation_min_completed,
-        )
+        return speculative_makespan(self._stage_task_times(stage), slots)
 
     def _stage_prices(self, result: JobResult) -> dict[str, float]:
         """Per-stage simulated seconds of one executed job."""

@@ -51,7 +51,8 @@ class MapReduceJob:
     #: module level, with no driver-side shared state read or written by
     #: its task methods.  Jobs that do share driver state (the layered DP
     #: jobs) declare ``process_safe = False`` and run in-process.  The
-    #: process runtime and the PS001/PS002 lint rules read the same flag.
+    #: process runtime reads this flag; the analyzer's PS003/PS004
+    #: verdicts check it against the call graph.
     process_safe: ClassVar[bool] = True
 
     #: Algorithm-stage label for traces, e.g. ``"dgreedy.histograms"`` —

@@ -47,7 +47,11 @@ from numpy.typing import ArrayLike
 
 from repro.analysis.sanitizer import stable_digest
 from repro.core.thresholding import serving_error_target
-from repro.data.loader import pad_to_power_of_two
+from repro.data.loader import (
+    as_finite_series,
+    atomic_write_text,
+    pad_to_power_of_two,
+)
 from repro.exceptions import InvalidInputError, ReproError
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.serving.cache import ReconstructionCache
@@ -273,9 +277,7 @@ class ShardedSynopsisStore:
         serving_error_target` when omitted.  Re-creating a name replaces
         the series (version numbering restarts).
         """
-        values = np.asarray(data, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise InvalidInputError("series must be a non-empty 1-D array")
+        values = as_finite_series(data)
         maintainer: GreedyMaintainer | DPMaintainer
         if tier == "greedy":
             maintainer = GreedyMaintainer(budget, base_leaves=base_leaves)
@@ -346,9 +348,7 @@ class ShardedSynopsisStore:
         scratch.  Concurrent appends to the same series serialize;
         readers continue on the previous version until the atomic swap.
         """
-        fresh = np.asarray(values, dtype=np.float64)
-        if fresh.ndim != 1 or fresh.size == 0:
-            raise InvalidInputError("appended values must be a non-empty 1-D array")
+        fresh = as_finite_series(values)
         series = self._series(name)
         with series.lock:
             old_length = series.length
@@ -486,7 +486,9 @@ class ShardedSynopsisStore:
 
         Maintainer caches (DP rows, per-sub-tree greedy runs) are *not*
         serialized — a loaded store lazily falls back to one full
-        rebuild on the first append to each series.
+        rebuild on the first append to each series.  The file is
+        replaced atomically: a crash mid-save leaves the previous file
+        loadable.
         """
         entries: dict[str, Any] = {}
         for name in self.names():
@@ -511,7 +513,7 @@ class ShardedSynopsisStore:
             "segment_leaves": self.cache.segment_leaves,
             "series": entries,
         }
-        Path(path).write_text(json.dumps(payload))
+        atomic_write_text(path, json.dumps(payload))
 
     @classmethod
     def load(

@@ -5,7 +5,8 @@ snippet that must trigger the rule and one near-miss that must stay
 clean.  Two fixtures replay real incidents from this repo's history:
 
 * the ``_AverageJob``-defined-inside-a-function bug (an unpicklable job
-  crashed the process-pool runtime) — PS001;
+  crashed the process-pool runtime) — PS003, through the whole-program
+  layer;
 * the ``id()``-keyed probe map in the DIndirectHaar driver (an object
   identity used as a dict key, making replays allocation-dependent) —
   DT003.
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import all_rules, analyze_paths, analyze_source
+from repro.analysis import all_rules, analyze_paths, analyze_source, project_findings
 from repro.analysis.__main__ import main as analysis_main
 
 
@@ -28,13 +29,23 @@ def findings_for(source: str, path: str = "src/repro/algos/fixture.py") -> list[
     return [finding.rule for finding in found]
 
 
+def project_rules_for(tmp_path: Path, source: str) -> list[str]:
+    """Whole-program rule ids for ``source`` as module ``proj.jobs``."""
+    package = tmp_path / "proj"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "jobs.py").write_text(textwrap.dedent(source))
+    return [finding.rule for finding in project_findings([tmp_path])]
+
+
 # ---------------------------------------------------------------------------
-# Process safety (PS001 / PS002)
+# Process safety: the job fixtures of the retired per-file rules, now
+# answered by the transitive PS003 verdict and the RC003 race check
 # ---------------------------------------------------------------------------
 
 
 class TestProcessSafety:
-    def test_ps001_average_job_closure_regression(self):
+    def test_ps001_average_job_closure_regression(self, tmp_path):
         # The original _AverageJob was defined inside _distributed_greedy;
         # pickling it for the process pool failed at runtime.
         source = """
@@ -47,9 +58,9 @@ class TestProcessSafety:
                         yield split.split_id, 0.0
                 return _AverageJob()
         """
-        assert "PS001" in findings_for(source)
+        assert project_rules_for(tmp_path, source) == ["PS003"]
 
-    def test_ps001_module_level_job_is_clean(self):
+    def test_ps001_module_level_job_is_clean(self, tmp_path):
         source = """
             class MapReduceJob:
                 pass
@@ -58,40 +69,48 @@ class TestProcessSafety:
                 def map(self, split):
                     yield split.split_id, 0.0
         """
-        assert "PS001" not in findings_for(source)
+        assert project_rules_for(tmp_path, source) == []
 
-    def test_ps001_found_inside_try_blocks(self):
+    def test_ps001_found_inside_try_blocks(self, tmp_path):
         source = """
             try:
                 def factory():
                     class InnerJob(MapReduceJob):
-                        pass
+                        def map(self, split):
+                            yield split.split_id, 0.0
             except ImportError:
                 pass
         """
-        assert "PS001" in findings_for(source)
+        assert project_rules_for(tmp_path, source) == ["PS003"]
 
-    def test_ps002_task_method_writing_self(self):
+    def test_ps002_task_method_writing_self(self, tmp_path):
+        # The write is both a refuted process-safety claim (PS003) and a
+        # double-write under speculative re-execution (RC003).
         source = """
             class CountingJob(MapReduceJob):
                 def map(self, split):
                     self.seen = split.split_id
                     yield 0, 1
         """
-        assert "PS002" in findings_for(source)
+        assert sorted(project_rules_for(tmp_path, source)) == ["PS003", "RC003"]
 
-    def test_ps002_mutator_call_on_self_attribute(self):
+    def test_ps002_mutator_call_on_self_attribute(self, tmp_path):
+        # A reduce-only class gets no pickle verdict (it defines no map);
+        # the race check still sees the task-side write.
         source = """
             class CollectingJob(MapReduceJob):
                 def reduce(self, key, values):
                     self.results.append(key)
                     yield key, sum(values)
         """
-        assert "PS002" in findings_for(source)
+        assert project_rules_for(tmp_path, source) == ["RC003"]
 
-    def test_ps002_opt_out_via_process_safe_false(self):
+    def test_ps002_opt_out_via_process_safe_false(self, tmp_path):
         # Jobs that declare process_safe = False run in-process; mutating
-        # driver-shared state is their documented contract.
+        # driver-shared state is their documented contract, so the
+        # declaration is evidenced (no PS003/PS004).  The race layer still
+        # flags the write, as test_declared_unsafe_with_evidence_is_silent
+        # documents.
         source = """
             class LayerJob(MapReduceJob):
                 process_safe = False
@@ -100,9 +119,9 @@ class TestProcessSafety:
                     self.row_store[split.split_id] = 1
                     yield 0, 1
         """
-        assert "PS002" not in findings_for(source)
+        assert project_rules_for(tmp_path, source) == ["RC003"]
 
-    def test_ps002_init_may_assign_self(self):
+    def test_ps002_init_may_assign_self(self, tmp_path):
         source = """
             class ConfiguredJob(MapReduceJob):
                 def __init__(self, n):
@@ -111,7 +130,7 @@ class TestProcessSafety:
                 def map(self, split):
                     yield self.n, 1
         """
-        assert "PS002" not in findings_for(source)
+        assert project_rules_for(tmp_path, source) == []
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +404,12 @@ class TestApiHygiene:
         """
         assert "AH001" in findings_for(source)
 
+    def test_ah001_mutable_default_in_lambda(self):
+        source = """
+            f = lambda x=[]: x
+        """
+        assert findings_for(source) == ["AH001"]
+
     def test_ah001_none_default_is_clean(self):
         source = """
             def collect(item, bucket=None):
@@ -425,46 +450,6 @@ class TestApiHygiene:
             __all__ = []
         """
         assert "AH003" not in findings_for(source, path="src/repro/algos/module.py")
-
-
-# ---------------------------------------------------------------------------
-# Typing gate (TG001)
-# ---------------------------------------------------------------------------
-
-
-class TestTypingGate:
-    def test_tg001_unannotated_parameter_and_return(self):
-        source = """
-            def combine(left, right: int) -> int:
-                return right
-        """
-        assert findings_for(source).count("TG001") == 1
-
-    def test_tg001_missing_return_annotation(self):
-        source = """
-            def combine(left: int, right: int):
-                return left + right
-        """
-        assert "TG001" in findings_for(source)
-
-    def test_tg001_self_and_cls_are_exempt(self):
-        source = """
-            class Thing:
-                def method(self) -> None:
-                    pass
-
-                @classmethod
-                def build(cls) -> "Thing":
-                    return cls()
-        """
-        assert "TG001" not in findings_for(source)
-
-    def test_tg001_fully_annotated_is_clean(self):
-        source = """
-            def combine(left: int, *rest: int, scale: float = 1.0, **extra: int) -> int:
-                return left
-        """
-        assert "TG001" not in findings_for(source)
 
 
 # ---------------------------------------------------------------------------
@@ -527,18 +512,19 @@ class TestHarness:
         assert len(ids) == len(set(ids))
 
     def test_findings_are_ordered_and_rendered(self):
+        # AH001 runs before KC002 but fires further down the file, so the
+        # output order is the sort's doing, not the rule order's.
         source = """
-            def late(x):
+            def first(x: float) -> bool:
                 return x == 0.0
 
-            def early(a, b):
+            def second(a: int, b: list = []) -> int:
                 return a
         """
         found = analyze_source(
             textwrap.dedent(source), "src/repro/algos/fixture.py", all_rules()
         )
-        lines = [f.line for f in found]
-        assert lines == sorted(lines)
+        assert [(f.line, f.rule) for f in found] == [(3, "KC002"), (5, "AH001")]
         rendered = found[0].render()
         assert rendered.startswith("src/repro/algos/fixture.py:")
         assert found[0].rule in rendered
@@ -546,9 +532,9 @@ class TestHarness:
     def test_analyze_paths_walks_directories(self, tmp_path):
         package = tmp_path / "algos"
         package.mkdir()
-        (package / "bad.py").write_text("def f(x):\n    return x\n")
+        (package / "bad.py").write_text("def f(x=[]):\n    return x\n")
         findings = analyze_paths([str(tmp_path)], all_rules())
-        assert any(f.rule == "TG001" for f in findings)
+        assert any(f.rule == "AH001" for f in findings)
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
@@ -556,10 +542,10 @@ class TestHarness:
         assert analysis_main([str(clean)]) == 0
 
         dirty = tmp_path / "dirty.py"
-        dirty.write_text("def f(x):\n    return x\n")
+        dirty.write_text("def f(x: list = []) -> list:\n    return x\n")
         assert analysis_main([str(dirty)]) == 1
         out = capsys.readouterr()
-        assert "TG001" in out.out
+        assert "AH001" in out.out
 
         assert analysis_main([str(tmp_path / "missing.py")]) == 2
 
@@ -569,23 +555,19 @@ class TestHarness:
 
     def test_cli_list_rules(self, capsys):
         assert analysis_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in (
-            "PS001",
-            "DT001",
-            "KC001",
-            "AH001",
-            "TG001",
-            "RC001",
-            "RC003",
-            "PS003",
-            "LS001",
-        ):
-            assert rule_id in out
+        listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+        assert listed == {
+            "AH001", "AH002", "AH003",
+            "DT001", "DT002", "DT003",
+            "KC001", "KC002", "KC003", "KC004",
+            "RC001", "RC002", "RC003",
+            "PS003", "PS004",
+            "LS001", "LS002", "LS003",
+        }
 
     def test_cli_writes_sarif(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
-        dirty.write_text("def f(x):\n    return x\n")
+        dirty.write_text("def f(x: list = []) -> list:\n    return x\n")
         sarif_path = tmp_path / "out.sarif"
         assert analysis_main([str(dirty), "--sarif-file", str(sarif_path)]) == 1
         capsys.readouterr()
@@ -594,7 +576,7 @@ class TestHarness:
         log = json.loads(sarif_path.read_text())
         assert log["version"] == "2.1.0"
         results = log["runs"][0]["results"]
-        assert any(result["ruleId"] == "TG001" for result in results)
+        assert any(result["ruleId"] == "AH001" for result in results)
 
     def test_repo_source_tree_is_clean(self):
         repo_src = Path(__file__).resolve().parent.parent / "src"

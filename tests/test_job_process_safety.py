@@ -163,10 +163,10 @@ def test_static_pickle_verdicts_agree_with_runtime_registry():
     from pathlib import Path
 
     from repro.analysis.pickling import job_pickle_verdicts
-    from repro.analysis.project import load_or_build_index
+    from repro.analysis.project import build_index
 
     repo_src = Path(__file__).resolve().parent.parent / "src"
-    verdicts = job_pickle_verdicts(load_or_build_index([repo_src], None))
+    verdicts = job_pickle_verdicts(build_index([repo_src]))
     by_name = {
         qualname.rsplit(".", 1)[-1]: verdict for qualname, verdict in verdicts.items()
     }

@@ -6,10 +6,10 @@ call-graph summaries (``repro.analysis.callgraph``), and the race /
 pickle analyses built on them — plus the repo-wide clean gate.
 
 The concurrency fixtures mirror the real shapes the detector was built
-for: a thread-pool level walk, a pool-spawned closure mutating a
-shared cell, and a job whose ``map`` writes ``self``
-(the speculation double-write case: a backup attempt re-runs the whole
-task against the same instance).
+for: the thread-pool runtime's pool-spawned task closures (one that
+mutates a shared closure cell, one that only returns values), and a job
+whose ``map`` writes ``self`` (the speculation double-write case: a
+backup attempt re-runs the whole task against the same instance).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from repro.analysis import project_findings
 from repro.analysis.callgraph import build_summaries
 from repro.analysis.pickling import job_pickle_verdicts, pickle_findings
-from repro.analysis.project import load_or_build_index
+from repro.analysis.project import build_index
 from repro.analysis.races import RaceAnalysis, race_findings
 
 
@@ -35,7 +35,7 @@ def write_package(tmp_path: Path, modules: dict[str, str]) -> Path:
 
 
 def index_for(tmp_path: Path, modules: dict[str, str]):
-    return load_or_build_index([write_package(tmp_path, modules)], None)
+    return build_index([write_package(tmp_path, modules)])
 
 
 # ---------------------------------------------------------------------------
@@ -117,26 +117,6 @@ class TestProjectIndex:
         }
         assert "proj.shapes.Base.run" in implementations
         assert "proj.shapes.Left.run" in implementations
-
-    def test_cache_round_trip(self, tmp_path):
-        root = write_package(
-            tmp_path,
-            {"mod": "def f(x: int) -> int:\n    return x\n"},
-        )
-        cache_dir = tmp_path / "cache"
-        first = load_or_build_index([root], cache_dir)
-        cached = sorted(cache_dir.glob("symtab-*.pkl"))
-        assert len(cached) == 1
-        second = load_or_build_index([root], cache_dir)
-        assert sorted(second.modules) == sorted(first.modules)
-        assert sorted(second.functions) == sorted(first.functions)
-        # Source edits must miss the cache (new digest), not serve stale.
-        (root / "proj" / "mod.py").write_text(
-            "def g(x: int) -> int:\n    return x\n"
-        )
-        third = load_or_build_index([root], cache_dir)
-        assert "proj.mod.g" in third.functions
-        assert "proj.mod.f" not in third.functions
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +228,9 @@ CLEAN_JOB = """
             yield split.split_id, total
 """
 
-#: A thread-pool level walk whose pool-spawned worker mutates a closure
-#: cell instead of returning results.
+#: The thread-pool runtime's shape (``ThreadPoolRuntime`` hands a
+#: ``map_task`` closure to ``pool.map``), with a spawned closure that
+#: mutates a cell of its enclosing function instead of returning results.
 RACY_LEVEL_WALK = """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -264,7 +245,9 @@ RACY_LEVEL_WALK = """
         return rows
 """
 
-#: The clean variant: workers return values, the driver writes.
+#: The clean variant, as ``ThreadPoolRuntime`` does it: the spawned
+#: closure returns its result and the driver collects ``pool.map``'s
+#: output in submission order.
 CLEAN_LEVEL_WALK = """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -380,23 +363,6 @@ class TestRaceDetection:
         findings = race_findings(index)
         assert [f.rule for f in findings] == ["RC003"]
         assert "RNG draw" in findings[0].message
-
-    def test_mutable_default_on_reachable_function_is_rc004(self, tmp_path):
-        source = """
-            class MapReduceJob:
-                pass
-
-            def accumulate(value: float, into: list = []) -> list:
-                into.append(value)
-                return into
-
-            class DefaultJob(MapReduceJob):
-                def map(self, split):
-                    yield split.split_id, accumulate(1.0)
-        """
-        index = index_for(tmp_path, {"jobs": source})
-        rules = sorted(f.rule for f in race_findings(index))
-        assert "RC004" in rules
 
     def test_default_roots_include_spawns_and_task_methods(self, tmp_path):
         index = index_for(
@@ -530,7 +496,7 @@ class TestRepoGate:
 
     def test_repo_race_analysis_reaches_the_known_roots(self):
         repo_src = Path(__file__).resolve().parent.parent / "src"
-        index = load_or_build_index([repo_src], None)
+        index = build_index([repo_src])
         analysis = RaceAnalysis(index)
         roots = {root.qualname for root in analysis.default_roots()}
         # The two concurrency families the detector exists for: job task
@@ -540,7 +506,7 @@ class TestRepoGate:
 
     def test_repo_pickle_verdicts_cover_all_concrete_jobs(self):
         repo_src = Path(__file__).resolve().parent.parent / "src"
-        index = load_or_build_index([repo_src], None)
+        index = build_index([repo_src])
         verdicts = job_pickle_verdicts(index)
         short = {qualname.rsplit(".", 1)[-1] for qualname in verdicts}
         assert {"_BottomUpLayerJob", "_TopDownLayerJob", "_AverageJob"} <= short
