@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""A multi-series AQP "dashboard" backed by a SynopsisStore.
+"""A multi-series AQP "dashboard" backed by the serving store.
 
 Summarizes several sensor/traffic series into one store, persists it, and
 answers the kind of aggregate queries a dashboard fires — each with a
@@ -13,17 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import SynopsisStore
 from repro.bench import print_table
 from repro.data import nyct_dataset, wd_dataset
+from repro.serving import ShardedSynopsisStore
 
 
 def main():
-    store = SynopsisStore()
-    store.add("taxi_trip_seconds", nyct_dataset(1 << 13, seed=1), budget=1024)
-    store.add("wind_direction_deg", wd_dataset(1 << 13, seed=2), budget=1024)
+    store = ShardedSynopsisStore()
+    store.create("taxi_trip_seconds", nyct_dataset(1 << 13, seed=1), budget=1024)
+    store.create("wind_direction_deg", wd_dataset(1 << 13, seed=2), budget=1024)
     rng = np.random.default_rng(3)
-    store.add(
+    store.create(
         "requests_per_minute",
         np.maximum(rng.normal(500, 80, size=5000) + 200 * np.sin(np.arange(5000) / 250), 0),
         budget=512,
@@ -49,7 +49,7 @@ def main():
         path = Path(tmp) / "synopses.json"
         store.save(path)
         size_kb = path.stat().st_size / 1024
-        reloaded = SynopsisStore.load(path)
+        reloaded = ShardedSynopsisStore.load(path)
         print(f"\nPersisted {len(store)} synopses in {size_kb:.1f} KB and reloaded:")
         print(f"  point(taxi_trip_seconds, 42) = {reloaded.point('taxi_trip_seconds', 42):.2f}")
 

@@ -17,10 +17,9 @@ Quick start::
     print(synopsis.max_abs_error(data), synopsis.range_avg(100, 200))
 """
 
-from repro.aqp import SynopsisStore
 from repro.core.thresholding import ALGORITHMS, build_synopsis
 from repro.wavelet.synopsis import WaveletSynopsis
 
 __version__ = "1.0.0"
 
-__all__ = ["ALGORITHMS", "SynopsisStore", "WaveletSynopsis", "build_synopsis", "__version__"]
+__all__ = ["ALGORITHMS", "WaveletSynopsis", "build_synopsis", "__version__"]

@@ -63,7 +63,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from repro.algos.greedy_abs import GreedyRun, Removal
 from repro.exceptions import InvalidInputError
-from repro.wavelet.metrics import DEFAULT_SANITY_BOUND
+from repro.wavelet.metrics import DEFAULT_SANITY_BOUND, check_sanity_bound
 from repro.wavelet.synopsis import WaveletSynopsis
 from repro.wavelet.transform import haar_transform, is_power_of_two
 
@@ -107,8 +107,7 @@ class GreedyRelTree:
             raise InvalidInputError("coefficient array length must be a power of two")
         if leaves.shape != coeffs.shape:
             raise InvalidInputError("leaf_values must have the same length as coefficients")
-        if sanity_bound <= 0:
-            raise InvalidInputError("the sanity bound S must be strictly positive")
+        check_sanity_bound(sanity_bound)
 
         self.m = m = int(coeffs.shape[0])
         self.coefficients = coeffs

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.algos.conventional import conventional_synopsis, largest_coefficient
-from repro.algos.minhaarspace import DualSolution, min_haar_space
+from repro.algos.minhaarspace import DualSolution, check_dp_params, min_haar_space
 from repro.exceptions import InfeasibleErrorBound, InvalidInputError
 from repro.wavelet.synopsis import WaveletSynopsis
 from repro.wavelet.transform import haar_transform
@@ -180,6 +180,7 @@ def indirect_haar(
     exact search's result.  An explicit ``solver`` is called as given,
     so it must apply ``rho`` itself.
     """
+    check_dp_params(delta, rho)
     values = np.asarray(data, dtype=np.float64)
     coefficients = haar_transform(values)
 

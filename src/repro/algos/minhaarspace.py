@@ -45,6 +45,7 @@ __all__ = [
     "MRow",
     "DualSolution",
     "approx_params",
+    "check_dp_params",
     "effective_delta",
     "leaf_row",
     "leaf_rows",
@@ -78,6 +79,19 @@ SCALAR_FALLBACK_CELLS = 256
 #: total) stay cache-resident; one full-width pass at fine quantizations
 #: is memory-bound and measurably slower (benchmarks/bench_dp_kernel.py).
 _MAX_BLOCK_CELLS = 1 << 15
+
+
+def check_dp_params(delta: float, rho: float = 0.0) -> None:
+    """Reject a ``delta`` or ``rho`` that no DP solve can run with.
+
+    :func:`approx_params` calls this before every DP solve.  Both
+    IndirectHaar drivers call it before their exact-conventional
+    shortcut, so a bad parameter is rejected whatever the data.
+    """
+    if not (math.isfinite(delta) and delta > 0):
+        raise InvalidInputError(f"delta must be finite and strictly positive, got {delta}")
+    if not (math.isfinite(rho) and rho >= 0):
+        raise InvalidInputError(f"rho must be finite and non-negative, got {rho}")
 
 
 def effective_delta(epsilon: float, delta: float, n: int) -> float:
@@ -134,10 +148,9 @@ def approx_params(
     build a row, so it is where a non-finite ``epsilon``, ``delta`` or
     ``rho`` is rejected.
     """
-    if not all(map(math.isfinite, (epsilon, delta, rho))):
-        raise InvalidInputError("epsilon, delta and rho must be finite")
-    if rho < 0:
-        raise InvalidInputError("rho must be non-negative")
+    if not math.isfinite(epsilon):
+        raise InvalidInputError(f"epsilon must be finite, got {epsilon}")
+    check_dp_params(delta, rho)
     base = effective_delta(epsilon, delta, n)
     if rho == 0 or epsilon <= 0:
         return epsilon, base

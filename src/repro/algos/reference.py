@@ -16,6 +16,8 @@ correct baseline.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.typing import ArrayLike
 
@@ -211,8 +213,8 @@ class ScalarGreedyRelTree:
             raise InvalidInputError("coefficient array length must be a power of two")
         if leaves.shape != coeffs.shape:
             raise InvalidInputError("leaf_values must have the same length as coefficients")
-        if sanity_bound <= 0:
-            raise InvalidInputError("the sanity bound S must be strictly positive")
+        if not (math.isfinite(sanity_bound) and sanity_bound > 0):
+            raise InvalidInputError("the sanity bound S must be finite and strictly positive")
 
         self.m = int(coeffs.shape[0])
         self.coefficients = coeffs.tolist()

@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.core.thresholding import ALGORITHMS, build_synopsis
-from repro.exceptions import ReproError
+from repro.data.loader import read_json
+from repro.exceptions import InvalidInputError, ReproError
 from repro.mapreduce.cluster import (
     RUNTIMES,
     ClusterConfig,
@@ -62,8 +63,29 @@ def _load_data(path: str) -> np.ndarray:
 
 
 def _load_synopsis(path: str) -> WaveletSynopsis:
-    with open(path) as handle:
-        return WaveletSynopsis.from_dict(json.load(handle))
+    return WaveletSynopsis.from_dict(read_json(path))
+
+
+def _load_queries(path: str) -> list[Query]:
+    """The batch in ``path``: a JSON list of objects with ``op`` and ``series``."""
+    entries = read_json(path)
+    if not (
+        isinstance(entries, list)
+        and all(isinstance(e, dict) and "op" in e and "series" in e for e in entries)
+    ):
+        raise InvalidInputError(
+            f"{path} must hold a list of query objects, each with 'op' and 'series'"
+        )
+    return [
+        Query(
+            op=entry["op"],
+            series=entry["series"],
+            index=entry.get("index"),
+            lo=entry.get("lo"),
+            hi=entry.get("hi"),
+        )
+        for entry in entries
+    ]
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -173,12 +195,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if store_path.exists():
         store = ShardedSynopsisStore.load(store_path, cluster=cluster)
     else:
-        store = ShardedSynopsisStore(
-            shards=args.shards,
-            cache_entries=args.cache_entries,
-            segment_leaves=args.segment_leaves,
-            cluster=cluster,
-        )
+        store = ShardedSynopsisStore(cluster=cluster)
     for name, data_path in args.create or []:
         version = store.create(
             name,
@@ -206,19 +223,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.queries:
-        entries = json.loads(Path(args.queries).read_text())
-        results = store.batch(
-            [
-                Query(
-                    op=entry["op"],
-                    series=entry["series"],
-                    index=entry.get("index"),
-                    lo=entry.get("lo"),
-                    hi=entry.get("hi"),
-                )
-                for entry in entries
-            ]
-        )
+        results = store.batch(_load_queries(args.queries))
         payload = [asdict(result) for result in results]
         if args.out:
             Path(args.out).write_text(json.dumps(payload, indent=2))
@@ -394,16 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file: list of {op, series, index|lo+hi} batched lookups",
     )
     serve.add_argument("--out", help="write query results JSON here (default stdout)")
-    serve.add_argument("--shards", type=int, default=8, help="store shard count")
-    serve.add_argument(
-        "--cache-entries", type=int, default=256, help="reconstruction LRU capacity"
-    )
-    serve.add_argument(
-        "--segment-leaves",
-        type=int,
-        default=1024,
-        help="leaves per cached reconstruction segment",
-    )
     serve.add_argument("--base-leaves", type=int, default=1024)
     serve.add_argument("--subtree-leaves", type=int, default=1024)
     serve.add_argument("--runtime", default="local", choices=sorted(RUNTIMES))

@@ -50,7 +50,7 @@ from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.hdfs import FileDataset, InputSplit, aligned_splits
 from repro.mapreduce.job import MapReduceJob
 from repro.core.partitioning import local_to_global, root_base_partition
-from repro.wavelet.metrics import DEFAULT_SANITY_BOUND
+from repro.wavelet.metrics import DEFAULT_SANITY_BOUND, check_sanity_bound
 from repro.wavelet.synopsis import WaveletSynopsis
 from repro.wavelet.transform import haar_transform, is_power_of_two
 
@@ -102,8 +102,7 @@ class _RelEngine(_GreedyEngine):
     metric = "max_rel"
 
     def __init__(self, sanity_bound: float = DEFAULT_SANITY_BOUND) -> None:
-        if sanity_bound <= 0:
-            raise InvalidInputError("the sanity bound S must be strictly positive")
+        check_sanity_bound(sanity_bound)
         self.sanity_bound = sanity_bound
 
     def root_run(self, root_coefficients: ArrayLike, virtual_leaves: ArrayLike) -> GreedyRun:

@@ -24,7 +24,7 @@ from numpy.typing import ArrayLike
 
 from repro.algos.indirect_haar import indirect_haar_search, search_resolution
 from repro.core.conventional_dist import con_synopsis
-from repro.algos.minhaarspace import DualSolution
+from repro.algos.minhaarspace import DualSolution, check_dp_params
 from repro.core.dp_framework import dm_haar_space, resolve_layer_plan
 from repro.core.partitioning import LayerPlan
 from repro.exceptions import InvalidInputError
@@ -132,6 +132,7 @@ def d_indirect_haar(
         raise InvalidInputError("data length must be a power of two")
     if budget < 0:
         raise InvalidInputError("budget must be non-negative")
+    check_dp_params(delta, rho)
     n = int(values.shape[0])
     cluster = cluster or SimulatedCluster()
     split_size = min(subtree_leaves, n)

@@ -1,9 +1,10 @@
 """Dataset validation, shaping, and persistence utilities.
 
 :func:`as_finite_series` is the one input boundary for in-memory series:
-``build_synopsis`` and both synopsis stores reject non-finite or
+``build_synopsis`` and both serving-store tiers reject non-finite or
 mis-shaped values through it, before any algorithm or store state sees
-them.  :func:`atomic_write_text` saves the stores crash-safely.
+them.  :func:`atomic_write_text` saves the store crash-safely, and
+:func:`read_json` reads saved files back.
 
 The error tree is a complete binary tree, so every algorithm in this
 package expects power-of-two input lengths.  Real datasets rarely oblige;
@@ -13,18 +14,20 @@ pipeline does when partitioning NYCT/WD) or truncate.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from repro.exceptions import InvalidInputError
+from repro.exceptions import InvalidInputError, ReproError
 from repro.wavelet.transform import is_power_of_two
 
 __all__ = ["as_finite_series", "atomic_write_text", "describe", "next_power_of_two",
-           "pad_to_power_of_two", "truncate_to_power_of_two"]
+           "pad_to_power_of_two", "read_json", "truncate_to_power_of_two"]
 
 
 def as_finite_series(data: ArrayLike) -> NDArray[np.float64]:
@@ -105,3 +108,14 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def read_json(path: str | Path) -> Any:
+    """The JSON document at ``path``; callers check its shape themselves.
+
+    A missing, unreadable or non-JSON file raises :class:`ReproError`.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise ReproError(f"cannot read JSON from {path}: {exc}") from exc

@@ -1,7 +1,8 @@
 """Sharded, versioned synopsis store: the online AQP serving layer.
 
-:class:`ShardedSynopsisStore` grows the flat :class:`repro.aqp.
-SynopsisStore` into a serving subsystem:
+:class:`ShardedSynopsisStore` keeps named series and answers point,
+sum and average queries from their synopses, each with deterministic
+bounds from the series' max-abs guarantee:
 
 * **Sharding** — series hash-partition across ``shards`` buckets by
   ``crc32(name)`` (never builtin ``hash``: it is salted per process and
@@ -51,6 +52,7 @@ from repro.data.loader import (
     as_finite_series,
     atomic_write_text,
     pad_to_power_of_two,
+    read_json,
 )
 from repro.exceptions import InvalidInputError, ReproError
 from repro.mapreduce.cluster import SimulatedCluster
@@ -519,56 +521,65 @@ class ShardedSynopsisStore:
     def load(
         cls, path: str | Path, cluster: SimulatedCluster | None = None
     ) -> "ShardedSynopsisStore":
-        """Inverse of :meth:`save` (maintainer caches start cold)."""
-        payload = json.loads(Path(path).read_text())
-        store = cls(
-            shards=int(payload["shards"]),
-            cache_entries=int(payload["cache_entries"]),
-            segment_leaves=int(payload["segment_leaves"]),
-            cluster=cluster,
-        )
-        for name, entry in payload["series"].items():
-            params = entry["params"]
-            maintainer: GreedyMaintainer | DPMaintainer
-            if entry["tier"] == "greedy":
-                maintainer = GreedyMaintainer(
-                    int(params["budget"]), base_leaves=int(params["base_leaves"])
-                )
-            else:
-                # Older DP-tier files also name a combine kernel; every
-                # kernel produced the same rows, so the choice is dropped.
-                params.pop("kernel", None)
-                maintainer = DPMaintainer(
-                    float(params["epsilon"]),
-                    delta=float(params["delta"]),
-                    subtree_leaves=int(params["subtree_leaves"]),
-                    rho=float(params["rho"]),
-                )
-            data = np.asarray(entry["data"], dtype=np.float64)
-            synopsis = WaveletSynopsis.from_dict(entry["synopsis"])
-            guarantee = float(synopsis.meta["serving_guarantee"])
-            stats = MaintenanceStats(**entry["stats"])
-            series = _Series(
-                name=name,
-                tier=entry["tier"],
-                params=params,
-                maintainer=maintainer,
-                buffer=pad_to_power_of_two(data),
-                length=int(data.size),
-                current=None,  # type: ignore[arg-type]  # published below before any reader can see it
+        """Inverse of :meth:`save` (maintainer caches start cold).
+
+        A file that is not a schema-1 store, or holds a malformed entry,
+        raises :class:`InvalidInputError`.
+        """
+        payload = read_json(path)
+        if not (isinstance(payload, dict) and payload.get("schema") == 1):
+            raise InvalidInputError(f"{path} is not a schema-1 synopsis store file")
+        try:
+            store = cls(
+                shards=int(payload["shards"]),
+                cache_entries=int(payload["cache_entries"]),
+                segment_leaves=int(payload["segment_leaves"]),
+                cluster=cluster,
             )
-            published = SeriesVersion(
-                name=name,
-                version=int(entry["version"]),
-                tier=entry["tier"],
-                synopsis=synopsis,
-                length=int(data.size),
-                guarantee=guarantee,
-                digest=_digest(synopsis, int(data.size), guarantee),
-                stats=stats,
-            )
-            shard = store._shard_of(name)
-            with store._shard_locks[shard]:
-                series.current = published
-                store._buckets[shard][name] = series
+            for name, entry in payload["series"].items():
+                params = entry["params"]
+                maintainer: GreedyMaintainer | DPMaintainer
+                if entry["tier"] == "greedy":
+                    maintainer = GreedyMaintainer(
+                        int(params["budget"]), base_leaves=int(params["base_leaves"])
+                    )
+                else:
+                    # Older DP-tier files also name a combine kernel; every
+                    # kernel produced the same rows, so the choice is dropped.
+                    params.pop("kernel", None)
+                    maintainer = DPMaintainer(
+                        float(params["epsilon"]),
+                        delta=float(params["delta"]),
+                        subtree_leaves=int(params["subtree_leaves"]),
+                        rho=float(params["rho"]),
+                    )
+                data = np.asarray(entry["data"], dtype=np.float64)
+                synopsis = WaveletSynopsis.from_dict(entry["synopsis"])
+                guarantee = float(synopsis.meta["serving_guarantee"])
+                stats = MaintenanceStats(**entry["stats"])
+                series = _Series(
+                    name=name,
+                    tier=entry["tier"],
+                    params=params,
+                    maintainer=maintainer,
+                    buffer=pad_to_power_of_two(data),
+                    length=int(data.size),
+                    current=None,  # type: ignore[arg-type]  # published below before any reader can see it
+                )
+                published = SeriesVersion(
+                    name=name,
+                    version=int(entry["version"]),
+                    tier=entry["tier"],
+                    synopsis=synopsis,
+                    length=int(data.size),
+                    guarantee=guarantee,
+                    digest=_digest(synopsis, int(data.size), guarantee),
+                    stats=stats,
+                )
+                shard = store._shard_of(name)
+                with store._shard_locks[shard]:
+                    series.current = published
+                    store._buckets[shard][name] = series
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"malformed synopsis store file {path}: {exc!r}") from exc
         return store

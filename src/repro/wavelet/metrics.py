@@ -12,6 +12,8 @@ original data:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
@@ -19,6 +21,7 @@ from repro.exceptions import InvalidInputError
 
 __all__ = [
     "DEFAULT_SANITY_BOUND",
+    "check_sanity_bound",
     "signed_errors",
     "l2_error",
     "max_abs_error",
@@ -28,6 +31,12 @@ __all__ = [
 #: Default sanity bound for the relative error metric.  The paper requires
 #: ``S > 0`` to prevent tiny data values from dominating the metric.
 DEFAULT_SANITY_BOUND = 1.0
+
+
+def check_sanity_bound(sanity_bound: float) -> None:
+    """Reject a sanity bound ``S`` that is not finite and strictly positive."""
+    if not (math.isfinite(sanity_bound) and sanity_bound > 0):
+        raise InvalidInputError("the sanity bound S must be finite and strictly positive")
 
 
 def _as_pair(
@@ -68,10 +77,9 @@ def max_rel_error(
     """Maximum relative reconstruction error with sanity bound ``S`` (Eq. 3).
 
     Each value's absolute error is divided by ``max(|d_i|, S)``; ``S`` must
-    be strictly positive.
+    be finite and strictly positive.
     """
-    if sanity_bound <= 0:
-        raise InvalidInputError("the sanity bound S must be strictly positive")
+    check_sanity_bound(sanity_bound)
     original, approx = _as_pair(data, approximation)
     denominators = np.maximum(np.abs(original), sanity_bound)
     return float(np.max(np.abs(approx - original) / denominators))

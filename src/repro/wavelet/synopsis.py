@@ -217,7 +217,11 @@ class WaveletSynopsis:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "WaveletSynopsis":
-        """Inverse of :meth:`to_dict`; validated like the constructor."""
+        """Inverse of :meth:`to_dict`; validated like the constructor.
+
+        A payload of any other shape, such as a store file, raises
+        :class:`InvalidInputError`.
+        """
         # JSON object keys are strings; any other key reaches the
         # constructor's integer check as it is, so 3.7 is not truncated.
         try:
@@ -225,13 +229,11 @@ class WaveletSynopsis:
                 int(key) if isinstance(key, str) else key: value
                 for key, value in payload["coefficients"].items()
             }
-        except ValueError as exc:
-            raise InvalidInputError(f"coefficient index is not an integer: {exc}") from exc
-        return cls(
-            n=int(payload["n"]),
-            coefficients=coefficients,
-            meta=dict(payload.get("meta", {})),
-        )
+            n = int(payload["n"])
+            meta = dict(payload.get("meta", {}))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"not a synopsis payload: {exc!r}") from exc
+        return cls(n=n, coefficients=coefficients, meta=meta)
 
     def same_coefficients(self, other: "WaveletSynopsis", tolerance: float = 0.0) -> bool:
         """Return True if both synopses retain the same coefficient values."""

@@ -90,35 +90,6 @@ class WaveletSynopsis2D:
         diff = self.reconstruct() - np.asarray(matrix, dtype=np.float64)
         return float(np.sqrt(np.mean(diff**2)))
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialize to plain Python types (JSON-friendly).
-
-        Coefficient keys flatten to ``"row,col"`` strings (JSON objects
-        cannot key on tuples).
-        """
-        return {
-            "shape": list(self.shape),
-            "coefficients": {
-                f"{a},{b}": value
-                for (a, b), value in sorted(self.coefficients.items())
-            },
-            "meta": dict(self.meta),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "WaveletSynopsis2D":
-        """Inverse of :meth:`to_dict`."""
-        rows, cols = payload["shape"]
-        coefficients: dict[tuple[int, int], float] = {}
-        for key, value in payload["coefficients"].items():
-            a, b = key.split(",")
-            coefficients[(int(a), int(b))] = float(value)
-        return cls(
-            shape=(int(rows), int(cols)),
-            coefficients=coefficients,
-            meta=dict(payload.get("meta", {})),
-        )
-
 
 def conventional_synopsis_2d(matrix: ArrayLike, budget: int) -> WaveletSynopsis2D:
     """Top-``budget`` coefficients by 2-D normalized significance."""

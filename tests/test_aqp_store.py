@@ -1,22 +1,27 @@
-"""Tests for the SynopsisStore AQP layer."""
+"""Tests for the AQP query surface served by the one synopsis store.
+
+The fixture holds one series per serving tier: ``trips`` on the greedy
+tier and ``wind`` on the DP tier with a pinned error target, so every
+query, bounds check and persistence test runs against both.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aqp import SynopsisStore
 from repro.exceptions import InvalidInputError, ReproError
-from repro.wavelet.synopsis import WaveletSynopsis
-from repro.wavelet.synopsis2d import greedy_abs_2d
+from repro.serving import ShardedSynopsisStore
 
 
 @pytest.fixture
 def store():
-    s = SynopsisStore()
+    s = ShardedSynopsisStore()
     rng = np.random.default_rng(0)
-    s.add("trips", rng.uniform(0, 1000, size=500), budget=64, algorithm="greedy-abs")
-    s.add("wind", rng.uniform(0, 360, size=300), budget=32, algorithm="conventional")
+    s.create("trips", rng.uniform(0, 1000, size=500), budget=64, base_leaves=64)
+    s.create(
+        "wind", rng.uniform(0, 360, size=300), tier="dp", epsilon=60.0, subtree_leaves=64
+    )
     return s
 
 
@@ -28,16 +33,17 @@ class TestRegistration:
 
     def test_add_records_guarantee(self, store):
         assert store.guarantee("trips") < float("inf")
+        assert store.guarantee("wind") <= 60.0
 
     def test_readding_replaces(self, store):
         before = store.guarantee("trips")
-        store.add("trips", np.zeros(500), budget=4, algorithm="greedy-abs")
+        store.create("trips", np.zeros(500), budget=4, base_leaves=64)
         assert store.guarantee("trips") == 0.0
         assert store.guarantee("trips") != before
 
     def test_rejects_empty_series(self, store):
         with pytest.raises(InvalidInputError):
-            store.add("bad", [], budget=4)
+            store.create("bad", [], budget=4)
 
     def test_unknown_series(self, store):
         with pytest.raises(ReproError):
@@ -48,22 +54,23 @@ class TestQueries:
     def test_point_within_guarantee(self, store):
         rng = np.random.default_rng(0)
         data = rng.uniform(0, 1000, size=500)
-        fresh = SynopsisStore()
-        fresh.add("x", data, budget=64, algorithm="greedy-abs")
+        fresh = ShardedSynopsisStore()
+        fresh.create("x", data, budget=64, base_leaves=64)
         guarantee = fresh.guarantee("x")
         for i in (0, 250, 499):
             assert abs(fresh.point("x", i) - data[i]) <= guarantee + 1e-9
 
     def test_range_queries(self, store):
-        total = store.range_sum("trips", 0, 99)
-        average = store.range_avg("trips", 0, 99)
-        assert average == pytest.approx(total / 100)
+        for name in ("trips", "wind"):
+            total = store.range_sum(name, 0, 99)
+            average = store.range_avg(name, 0, 99)
+            assert average == pytest.approx(total / 100)
 
     def test_range_bounds_contain_exact_sum(self):
         rng = np.random.default_rng(1)
         data = rng.uniform(0, 1000, size=256)
-        fresh = SynopsisStore()
-        fresh.add("x", data, budget=32, algorithm="greedy-abs")
+        fresh = ShardedSynopsisStore()
+        fresh.create("x", data, budget=32, base_leaves=64)
         lo, hi = 10, 99
         lower, upper = fresh.range_sum_bounds("x", lo, hi)
         exact = data[lo : hi + 1].sum()
@@ -107,8 +114,8 @@ class TestQueries:
     def test_range_sum_bounds_tightness_property(self, data, draw):
         """Bounds always contain the exact sum and are exactly
         ``width * guarantee`` wide around the approximate answer."""
-        fresh = SynopsisStore()
-        fresh.add("x", data, budget=8, algorithm="greedy-abs")
+        fresh = ShardedSynopsisStore()
+        fresh.create("x", data, budget=8)
         n = len(data)
         lo = draw.draw(st.integers(min_value=0, max_value=n - 1))
         hi = draw.draw(st.integers(min_value=lo, max_value=n - 1))
@@ -125,13 +132,14 @@ class TestReportAndPersistence:
     def test_report_rows(self, store):
         rows = store.report()
         assert [row["series"] for row in rows] == ["trips", "wind"]
+        assert [row["tier"] for row in rows] == ["greedy", "dp"]
         assert all(row["ratio"] > 1 for row in rows)
         assert rows[0]["length"] == 500
 
     def test_save_load_roundtrip(self, store, tmp_path):
         path = tmp_path / "store.json"
         store.save(path)
-        loaded = SynopsisStore.load(path)
+        loaded = ShardedSynopsisStore.load(path)
         assert loaded.names() == store.names()
         assert loaded.point("trips", 7) == pytest.approx(store.point("trips", 7))
         assert loaded.guarantee("wind") == pytest.approx(store.guarantee("wind"))
@@ -140,41 +148,8 @@ class TestReportAndPersistence:
             loaded.point("wind", 300)
 
     def test_report_for_single_series_and_miss(self, store):
-        (row,) = store.report("wind")
-        assert row["series"] == "wind"
         # Regression: a miss must raise the available-names ReproError,
-        # never a raw KeyError escaping from the synopsis dict.
-        with pytest.raises(ReproError, match=r"trips") as excinfo:
-            store.report("missing")
-        assert not isinstance(excinfo.value, KeyError)
+        # never a raw KeyError escaping from the series table.
         with pytest.raises(ReproError, match=r"available.*wind") as excinfo:
             store.guarantee("missing")
         assert not isinstance(excinfo.value, KeyError)
-
-    def test_save_load_roundtrip_with_2d_and_none_length(self, store, tmp_path):
-        rng = np.random.default_rng(4)
-        grid = rng.uniform(0, 10, size=(8, 16))
-        store.register("cube", greedy_abs_2d(grid, budget=24))
-        # original_length=None falls back to the synopsis' own extent.
-        bare = WaveletSynopsis(n=64, coefficients={0: 3.0, 5: -1.0}, meta={})
-        store.register("bare", bare, original_length=None)
-        assert store._lengths["cube"] == 8 * 16
-        assert store._lengths["bare"] == 64
-
-        path = tmp_path / "store.json"
-        store.save(path)
-        loaded = SynopsisStore.load(path)
-        assert loaded.names() == ["bare", "cube", "trips", "wind"]
-        cube = loaded.get("cube")
-        assert cube.shape == (8, 16)
-        assert cube.coefficients == store.get("cube").coefficients
-        assert cube.cell_query(3, 7) == pytest.approx(
-            store.get("cube").cell_query(3, 7)
-        )
-        assert loaded.point("bare", 0) == pytest.approx(store.point("bare", 0))
-        # 1-D helpers refuse the 2-D series instead of misreading it.
-        with pytest.raises(InvalidInputError, match="2-D"):
-            loaded.point("cube", 0)
-        # 2-D series still appear in reports.
-        row = next(r for r in loaded.report() if r["series"] == "cube")
-        assert row["coefficients"] == cube.size

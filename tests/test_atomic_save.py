@@ -1,4 +1,4 @@
-"""Crash-safe persistence for both synopsis stores.
+"""Crash-safe persistence for the synopsis store.
 
 A save that dies after writing part of its payload must leave the
 previous file loadable, with the previous answers, and leave no
@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.aqp import SynopsisStore
 from repro.serving import ShardedSynopsisStore
 
 
@@ -79,23 +78,3 @@ def test_sharded_store_survives_a_crash_mid_save(tmp_path, crash_writes_in):
     assert loaded.snapshot("g").digest == digest
     assert loaded.point("g", 7) == answer
     assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
-
-
-def test_aqp_store_survives_a_crash_mid_save(tmp_path, crash_writes_in):
-    rng = np.random.default_rng(4)
-    store = SynopsisStore()
-    store.add("a", rng.normal(10, 2, 64), 8, algorithm="greedy-abs")
-    path = tmp_path / "store.json"
-    store.save(path)
-    answer = store.range_sum("a", 3, 40)
-
-    store.add("b", rng.normal(0, 1, 32), 8, algorithm="greedy-abs")
-    crash_writes_in(tmp_path)
-    with pytest.raises(OSError, match="simulated crash"):
-        store.save(path)
-
-    loaded = SynopsisStore.load(path)
-    assert loaded.names() == ["a"]
-    assert loaded.range_sum("a", 3, 40) == answer
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
-

@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.analysis.sanitizer import compare_reports
 from repro.cli import main
+from repro.serving import Query, ShardedSynopsisStore
 from repro.wavelet.synopsis import WaveletSynopsis
 
 
@@ -116,3 +119,92 @@ class TestQueryAndEvaluate:
         assert main(["evaluate", synopsis_file, data_file]) == 0
         out = capsys.readouterr().out
         assert "max_abs" in out and "L2" in out
+
+
+class TestServe:
+    QUERIES = [
+        {"op": "point", "series": "s", "index": 650},
+        {"op": "range_sum", "series": "s", "lo": 10, "hi": 690},
+        {"op": "range_avg", "series": "s", "lo": 0, "hi": 699},
+    ]
+    OPTIONS = ["--budget", "32", "--base-leaves", "128"]
+
+    @pytest.fixture
+    def blocks(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(23)
+        initial, block = rng.normal(100, 25, 600), rng.normal(110, 20, 100)
+        np.save("initial.npy", initial)
+        np.save("block.npy", block)
+        return initial, block
+
+    def test_round_trip_matches_the_in_process_store(self, blocks):
+        Path("queries.json").write_text(json.dumps(self.QUERIES))
+        assert main(["serve", "store.json", "--create", "s", "initial.npy", *self.OPTIONS]) == 0
+        assert Path("store.json").exists()
+        assert main(
+            [
+                "serve", "store.json", "--append", "s", "block.npy",
+                "--queries", "queries.json", "--out", "results.json", *self.OPTIONS,
+            ]
+        ) == 0
+
+        initial, block = blocks
+        store = ShardedSynopsisStore()
+        store.create("s", initial, budget=32, base_leaves=128)
+        store.append("s", block)
+        expected = store.batch([Query(**query) for query in self.QUERIES])
+        results = json.loads(Path("results.json").read_text())
+        assert [(r["value"], r["version"], r["lower"], r["upper"]) for r in results] == [
+            (e.value, e.version, e.lower, e.upper) for e in expected
+        ]
+
+    def test_scratch_rebuilds_match_incremental_digests(self, blocks):
+        reports = []
+        for mode in ("incremental", "scratch"):
+            assert main(
+                [
+                    "serve", f"store_{mode}.json", "--create", "s", "initial.npy",
+                    "--append", "s", "block.npy", "--rebuild-mode", mode,
+                    "--sanitize", f"report_{mode}.json", *self.OPTIONS,
+                ]
+            ) == 0
+            reports.append(json.loads(Path(f"report_{mode}.json").read_text()))
+        assert len(reports[0]["jobs"]) == 2
+        assert compare_reports(*reports) == []
+
+
+class TestJsonInputs:
+    """Every JSON file the CLI reads fails with ``error:``, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "missing.json", "--point", "1"],
+            ["query", "malformed.json", "--point", "1"],
+            ["query", "store.json", "--point", "1"],
+            ["evaluate", "missing.json", "data.npy"],
+            ["evaluate", "malformed.json", "data.npy"],
+            ["evaluate", "store.json", "data.npy"],
+            ["serve", "malformed.json"],
+            ["serve", "synopsis.json"],
+            ["serve", "list.json"],
+            ["serve", "store.json", "--queries", "no_series.json"],
+            ["serve", "store.json", "--queries", "object.json"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_json_input_fails_cleanly(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        data = np.arange(1.0, 9.0)
+        np.save("data.npy", data)
+        store = ShardedSynopsisStore()
+        store.create("s", data, budget=4, base_leaves=4)
+        store.save("store.json")
+        Path("synopsis.json").write_text(json.dumps(WaveletSynopsis(8, {0: 4.5}).to_dict()))
+        Path("malformed.json").write_text("{not json")
+        Path("list.json").write_text("[]")
+        Path("no_series.json").write_text(json.dumps([{"op": "point", "index": 0}]))
+        Path("object.json").write_text(json.dumps({"op": "point", "series": "s", "index": 0}))
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err

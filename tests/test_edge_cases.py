@@ -194,6 +194,28 @@ _NON_FINITE_CASES = [
     for value in (math.nan, math.inf)
 ]
 
+#: [1..8] has eight Haar coefficients, so at B = 8 IndirectHaar's
+#: conventional synopsis is already exact and no DP probe runs.
+_EXACT_DATA = np.arange(1.0, 9.0)
+
+_BAD_SEARCH_PARAMS = [
+    (algorithm, parameter, value)
+    for algorithm in (
+        "indirect-haar",
+        "indirect-haar-restricted",
+        "dindirect-haar",
+        "dindirect-haar-restricted",
+    )
+    for parameter, value in [
+        ("delta", math.nan),
+        ("delta", math.inf),
+        ("delta", -1.0),
+        ("delta", 0.0),
+        ("rho", math.nan),
+        ("rho", -0.5),
+    ]
+]
+
 
 class TestNonFiniteDPParameters:
     @pytest.mark.parametrize("entry,parameter,value", _NON_FINITE_CASES)
@@ -206,3 +228,9 @@ class TestNonFiniteDPParameters:
             else:
                 _DP_ENTRIES[entry](**params)
         assert "s" not in store and store.history() == []
+
+    @pytest.mark.parametrize("algorithm,parameter,value", _BAD_SEARCH_PARAMS)
+    def test_rejected_before_the_exact_shortcut(self, algorithm, parameter, value):
+        params = {"delta": 1.0, "rho": 0.0, parameter: value}
+        with pytest.raises(InvalidInputError, match=parameter):
+            build_synopsis(_EXACT_DATA, 8, algorithm, **params)

@@ -1,13 +1,13 @@
 """The one input boundary for series values.
 
 Every public entry point that takes an in-memory series — every
-``build_synopsis`` algorithm, both serving-store tiers, the AQP store and
-the ``repro build`` CLI — rejects a NaN or an infinity with
+``build_synopsis`` algorithm, both serving-store tiers and the ``repro
+build`` CLI — rejects a NaN or an infinity with
 :class:`InvalidInputError` before any algorithm or store state sees it.
 Without the boundary, the DP tiers spin (every epsilon doubling widens
 every M-row), the greedy tiers raise a bare ``IndexError`` after writing
 the value into the store buffer, and H-WTopk silently returns a
-synopsis.
+synopsis.  The relative-error sanity bound ``S`` must be finite too.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.aqp import SynopsisStore
 from repro.cli import main as cli_main
 from repro.core.thresholding import ALGORITHMS, build_synopsis
 from repro.data.loader import as_finite_series, pad_to_power_of_two
 from repro.exceptions import InvalidInputError
 from repro.serving import ShardedSynopsisStore
+from repro.wavelet.metrics import max_rel_error
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -108,16 +108,28 @@ def test_rejected_append_leaves_the_series_untouched(tier, bad):
     )
 
 
-@pytest.mark.parametrize("bad", NON_FINITE)
-def test_aqp_store_rejects_non_finite_values(bad):
-    store = SynopsisStore()
-    with pytest.raises(InvalidInputError, match="finite"):
-        store.add("s", _with(bad), 4, subtree_leaves=4)
-    assert "s" not in store
-
-
 def test_cli_build_reports_non_finite_input(tmp_path, capsys):
     data = tmp_path / "data.txt"
     data.write_text("1.0 2.0 nan 4.0\n")
     assert cli_main(["build", str(data), "--budget", "2"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf])
+@pytest.mark.parametrize("algorithm", ["greedy-rel", "dgreedy-rel"])
+def test_relative_error_rejects_non_finite_sanity_bound(algorithm, bound):
+    with pytest.raises(InvalidInputError, match="sanity bound"):
+        build_synopsis(VALID, 4, algorithm=algorithm, sanity_bound=bound, subtree_leaves=4)
+
+
+def test_max_rel_error_rejects_nan_sanity_bound():
+    with pytest.raises(InvalidInputError, match="sanity bound"):
+        max_rel_error(VALID, VALID, math.nan)
+
+
+def test_cli_build_reports_non_finite_sanity_bound(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text("1.0 2.0 3.0 4.0\n")
+    argv = ["build", str(data), "--budget", "2", "--algorithm", "greedy-rel"]
+    assert cli_main([*argv, "--sanity-bound", "nan"]) == 1
     assert "error:" in capsys.readouterr().err
