@@ -1,9 +1,9 @@
 """Ablation: the error-bucket width ``e_b`` of Algorithm 3.
 
 The bucket width trades level-1 -> level-2 communication against result
-fidelity: coarse buckets collapse many discarded nodes into one key-value
-(and quantize the candidate evaluation), fine buckets approach one
-key-value per node.  The paper introduces the knob for I/O efficiency
+fidelity: coarse buckets collapse many discarded nodes into one histogram
+bucket (and quantize the candidate evaluation), fine buckets approach one
+bucket per node.  The paper introduces the knob for I/O efficiency
 ("132.44 vs 132.45"); this ablation quantifies the trade-off.
 
 It also prices the paper's *histogram* encoding (an int per bucket)
@@ -56,9 +56,10 @@ def regenerate_bucket_ablation(settings, log_n=13, widths=(1e-6, 0.1, 1.0, 10.0,
 
 def bench_ablation_bucket_width(benchmark, settings):
     rows = run_once(benchmark, regenerate_bucket_ablation, settings)
-    # Communication shrinks monotonically with wider buckets...
-    records = [row["hist records"] for row in rows]
-    assert records == sorted(records, reverse=True)
+    # Communication shrinks monotonically with wider buckets (job 1 ships
+    # one record per distinct run at every width; its histograms shrink)...
+    shuffled = [row["hist KB"] for row in rows]
+    assert shuffled == sorted(shuffled, reverse=True)
     # ...fidelity stays essentially intact through moderate widths...
     assert rows[1]["vs GreedyAbs"] < 1.05
     # ...and even the coarsest width only degrades gracefully.

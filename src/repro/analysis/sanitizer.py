@@ -5,8 +5,9 @@ The static analyses (:mod:`repro.analysis.races`,
 schedule-independent.  This module is the dynamic cross-check: under
 ``repro build --sanitize out.json`` the driver hashes
 
-* every job's final output (and per-partition shuffle streams, when the
-  job reduces) in driver order, and
+* every job's final output in driver order, and, when the job reduces,
+  each partition's input in the order its reducer consumes it (the
+  stable ``sort_key`` order, whichever shuffle delivered it), and
 * every DP kernel sub-tree row table (``_run_levels`` output), collected
   concurrently and canonicalized by sorting,
 

@@ -7,11 +7,12 @@ Two measurements back the out-of-core path's perf story:
   spill format would use, over two batch shapes that bracket real
   shuffle traffic: ``numeric`` (homogeneous ``(int, float)`` records,
   the shape CON/SendCoef and the DP jobs shuffle — the codec's best
-  case) and ``mixed`` (DGreedyAbs's interleaved ``hist``/``final``
-  tuple records — its worst case, where per-record python overhead
-  can't be fully columnarized; the codec trades a modest CPU cost for
-  a substantially smaller spill file, which is what matters once runs
-  hit disk).  The speedup ratio, not absolute seconds, is what the
+  case) and ``mixed`` (interleaved ``hist``/``final`` tuple records,
+  the per-bucket shape DGreedyAbs's job 1 emitted before it shipped one
+  columnar record per run — the codec's adversarial mixed-signature
+  case, where per-record python overhead can't be fully columnarized;
+  the codec trades a modest CPU cost for a substantially smaller spill
+  file, which is what matters once runs hit disk).  The speedup ratio, not absolute seconds, is what the
   regression guard pins — ratios on the same machine transfer across
   hosts.
 * **End-to-end spill overhead** — a DGreedyAbs build under the external
@@ -60,12 +61,13 @@ SHUFFLE_BATCH_SIZES = [1 << 10, 1 << 13, 1 << 16]
 
 
 def shuffle_shaped_records(count: int, seed: int = 7) -> list[tuple[Any, Any]]:
-    """A reproducible batch shaped like DGreedyAbs's job-1 shuffle traffic.
+    """A reproducible batch of the codec's adversarial mixed-signature shape.
 
     Interleaves 4-tuple ``hist`` keys (with ``(count, cut_error)``
-    values) and 3-tuple ``final`` keys (float values) in a ~15:1 ratio,
-    matching one histogram record per removal plus one final record per
-    (candidate, sub-tree).
+    values) and 3-tuple ``final`` keys (float values) in a ~15:1 ratio:
+    the shape DGreedyAbs's job 1 emitted before it shipped one columnar
+    record per run (one record per bucket plus one final record per
+    candidate and sub-tree).
     """
     rng = np.random.default_rng(seed)
     records: list[tuple[Any, Any]] = []

@@ -13,7 +13,8 @@ sub-tree, the algorithm:
    the candidates (at most ``log R + 2`` runs, Section 5.3), emitting
    *error-bucketed histograms* (``discardNode``/ErrHistGreedyAbs,
    Algorithm 3) instead of node lists — an int per bucket instead of the
-   nodes themselves;
+   nodes themselves — once per level-2 worker that owns one of the
+   run's candidates, not once per candidate;
 3. level-2 workers merge the histograms per candidate and read off the
    best achievable error at rank ``B - |C_root|`` (``combineResults``,
    Algorithm 5); the driver picks the winning candidate;
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any
 
 import numpy as np
@@ -181,9 +183,13 @@ def _candidate_incoming_errors(
     return candidates
 
 
-def _bucketized_histogram(
-    run: GreedyRun, bucket_width: float
-) -> tuple[list[tuple[float, int, float]], float]:
+#: One greedy run's ErrHistGreedyAbs histogram as columns: bucket errors
+#: (float64, strictly ascending), node counts (int64) and cut errors
+#: (float64) per bucket, then the run's final (all-removed) error.
+_Histogram = tuple[np.ndarray, np.ndarray, np.ndarray, float]
+
+
+def _bucketized_histogram(run: GreedyRun, bucket_width: float) -> _Histogram:
     """Algorithm 3 over a whole run, extended with per-bucket cut errors.
 
     Nodes are appended to the running key-value while their bucketized
@@ -197,35 +203,36 @@ def _bucketized_histogram(
     ``combineResults`` consider retaining *fewer* than ``B - |C_root|``
     nodes — mirroring the centralized keep-removing-past-``B`` rule.
 
-    Returns ``(buckets, final_error)`` where each bucket is
-    ``(bucket_error, node_count, cut_error)`` in chronological (ascending
-    bucket) order and ``final_error`` is the actual error with every node
-    of the sub-tree discarded.
+    Returns ``(bucket errors, node counts, cut errors, final error)``:
+    the buckets in chronological (ascending bucket) order, and the
+    actual error with every node of the sub-tree discarded.
     """
-    histogram: list[tuple[float, int, float]] = []
-    max_error = -math.inf
-    count = 0
-    cut_error = run.initial_error
-    previous_actual = run.initial_error
-    for removal in run.removals:
-        bucket = math.floor(removal.error_after / bucket_width) * bucket_width
-        if bucket <= max_error:
-            count += 1
-        else:
-            if count:
-                histogram.append((max_error, count, cut_error))
-            max_error = bucket
-            count = 1
-            cut_error = previous_actual
-        previous_actual = removal.error_after
-    if count:
-        histogram.append((max_error, count, cut_error))
+    after = np.array([removal.error_after for removal in run.removals], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.floor(after / bucket_width)
+    if not np.isfinite(scaled).all():
+        raise InvalidInputError(
+            f"bucket width {bucket_width!r} makes error / width non-finite"
+        )
+    buckets = scaled * bucket_width
+    running = np.maximum.accumulate(buckets)
+    starts = np.flatnonzero(running > np.concatenate(([-math.inf], running))[:-1])
+    counts = np.diff(np.append(starts, len(after)))
+    cuts = np.concatenate(([run.initial_error], after))[starts]
     final_error = run.removals[-1].error_after if run.removals else run.initial_error
-    return histogram, final_error
+    return buckets[starts], counts, cuts, final_error
 
 
 class _HistogramJob(MapReduceJob):
-    """Job 1: speculative ErrHistGreedyAbs runs on every base sub-tree."""
+    """Job 1: speculative ErrHistGreedyAbs runs on every base sub-tree.
+
+    Candidate ``k`` belongs to level-2 worker ``k * reducers // |C|``:
+    contiguous ranges of the nested candidates.  A sub-tree's incoming
+    error changes only when a candidate adds one of its ``log2 R + 1``
+    root-path nodes, so it emits at most ``log2 R + 1 + reducers``
+    records: one per (distinct incoming error, reducer), carrying the
+    run's histogram columns once and the ids of the candidates it serves.
+    """
 
     name = "dgreedy-histograms"
     stage_label = "dgreedy.histograms"
@@ -260,84 +267,74 @@ class _HistogramJob(MapReduceJob):
 
         for incoming_error, candidate_ids in by_incoming.items():
             run = self.engine.base_run(local_coefficients, split.values, incoming_error)
-            histogram, final_error = _bucketized_histogram(run, self.bucket_width)
-            for candidate_id in candidate_ids:
-                for bucket_error, count, cut_error in histogram:
-                    yield ("hist", candidate_id, subtree_index, bucket_error), (count, cut_error)
-                yield ("final", candidate_id, subtree_index), final_error
+            histogram = _bucketized_histogram(run, self.bucket_width)
+            for reducer, group in groupby(candidate_ids, key=self._reducer_of):
+                served = np.array(list(group), dtype=np.int64)
+                yield (reducer, subtree_index, int(served[0])), (served, *histogram)
+
+    def _reducer_of(self, candidate_id: int) -> int:
+        """The level-2 worker that owns ``candidate_id``."""
+        return candidate_id * self.num_reducers // len(self.candidates)
 
     def partition(self, key: Any, num_reducers: int) -> int:
-        # All key-values of one candidate go to the same level-2 worker.
-        return key[1] % num_reducers
+        return int(key[0])
 
     def reduce_partition(self, records: list[tuple[Any, Any]]) -> Iterator[tuple[Any, Any]]:
         """combineResults (Algorithm 5), generalized to all cut thresholds.
 
-        For every candidate the sweep walks the merged bucket thresholds
-        from high to low: at threshold ``T`` each sub-tree retains its
-        nodes whose running-max bucket is ``>= T`` and sits at the
-        corresponding cut error.  Every feasible ``T`` (total retained
-        <= ``B - |C_root|``) is evaluated and the best kept — the paper's
-        single rank lookup is the lowest feasible threshold.
+        Each record's histogram is expanded to every candidate it serves;
+        :func:`_best_cut_over_thresholds` then sweeps each candidate.
         """
-        per_candidate: dict[int, dict[int, dict]] = {}
-        for key, payload in records:
-            candidate_id, subtree = key[1], key[2]
-            entry = per_candidate.setdefault(candidate_id, {}).setdefault(
-                subtree, {"buckets": [], "final": 0.0}
-            )
-            if key[0] == "hist":
-                bucket_error = key[3]
-                entry["buckets"].append((bucket_error, payload[0], payload[1]))
-            else:
-                entry["final"] = payload
-        for candidate_id, subtrees in per_candidate.items():
+        per_candidate: dict[int, dict[int, _Histogram]] = {}
+        for (_, subtree, _), value in records:
+            histogram = value[1:]
+            for candidate_id in value[0].tolist():
+                per_candidate.setdefault(candidate_id, {})[subtree] = histogram
+        for candidate_id in sorted(per_candidate):
             base_budget = self.budget - candidate_id
-            yield candidate_id, _best_cut_over_thresholds(subtrees, base_budget)
+            yield candidate_id, _best_cut_over_thresholds(
+                per_candidate[candidate_id], base_budget
+            )
 
 
 def _best_cut_over_thresholds(
-    subtrees: dict[int, dict], base_budget: int
+    subtrees: dict[int, _Histogram], base_budget: int
 ) -> tuple[float, float]:
-    """Sweep thresholds high->low; return ``(best error, its threshold)``.
+    """Sweep every feasible threshold; return ``(best error, its threshold)``.
 
-    The sweep state starts at "retain nothing" (every sub-tree at its
-    final, all-removed error) and lowers the threshold bucket by bucket;
-    crossing a sub-tree's bucket retains that bucket's nodes and moves the
-    sub-tree to the bucket's cut error.
+    At threshold ``T`` each sub-tree retains its buckets ``>= T`` and
+    sits at the cut error of the lowest of them (its final error when it
+    retains none); the candidate's error is the maximum over sub-trees.
+    ``T`` is feasible while the total retained count is at most
+    ``base_budget``.  The state "retain nothing" (threshold ``inf``) is
+    the starting point, and a threshold replaces it only with a strictly
+    lower error; ties go to the highest such threshold.  Only
+    comparisons touch error values, so the result is exact.
     """
     if base_budget < 0:
         return math.inf, math.inf
-    current_error: dict[int, float] = {
-        subtree: entry["final"] for subtree, entry in subtrees.items()
-    }
-    events = sorted(
-        (
-            (bucket_error, subtree, count, cut_error)
-            for subtree, entry in subtrees.items()
-            for bucket_error, count, cut_error in entry["buckets"]
-        ),
-        key=lambda event: -event[0],
-    )
-    best_error = max(current_error.values(), default=0.0)
-    best_threshold = math.inf
-    retained = 0
-    position = 0
-    while position < len(events):
-        threshold = events[position][0]
-        # Apply every bucket at this threshold together.
-        while position < len(events) and events[position][0] == threshold:
-            _, subtree, count, cut_error = events[position]
-            retained += count
-            current_error[subtree] = cut_error
-            position += 1
-        if retained > base_budget:
-            break
-        error = max(current_error.values())
-        if error < best_error:
-            best_error = error
-            best_threshold = threshold
-    return best_error, best_threshold
+    histograms = list(subtrees.values())
+    best_error = max((final for *_, final in histograms), default=0.0)
+    errors = np.concatenate([np.empty(0)] + [errors for errors, *_ in histograms])
+    if not len(errors):
+        return best_error, math.inf
+    counts = np.concatenate([counts for _, counts, *_ in histograms])
+    order = np.argsort(errors)[::-1]
+    descending = errors[order]
+    last = np.flatnonzero(np.append(descending[:-1] != descending[1:], True))
+    retained = np.cumsum(counts[order])[last]
+    feasible = int(np.searchsorted(retained, base_budget, side="right"))
+    if not feasible:
+        return best_error, math.inf
+    thresholds = descending[last[:feasible]]
+    error = np.full(feasible, -math.inf)
+    for bucket_errors, _, cuts, final in histograms:
+        sits = np.append(cuts, final)[np.searchsorted(bucket_errors, thresholds)]
+        np.maximum(error, sits, out=error)
+    position = int(np.argmin(error))
+    if error[position] < best_error:
+        return float(error[position]), float(thresholds[position])
+    return best_error, math.inf
 
 
 class _ConstructJob(MapReduceJob):
@@ -424,8 +421,10 @@ def _distributed_greedy(
         n = int(values.shape[0])
     if budget < 0:
         raise InvalidInputError("budget must be non-negative")
-    if bucket_width <= 0:
-        raise InvalidInputError("bucket width must be strictly positive")
+    if not math.isfinite(bucket_width) or bucket_width <= 0:
+        raise InvalidInputError("bucket width must be finite and strictly positive")
+    if not isinstance(level2_workers, int) or level2_workers < 1:
+        raise InvalidInputError("level2_workers must be an integer >= 1")
     cluster = cluster or SimulatedCluster()
     if base_leaves >= n:
         base_leaves = n // 2

@@ -23,7 +23,7 @@ from typing import Any, ClassVar
 
 from repro.mapreduce.hdfs import InputSplit
 
-__all__ = ["MapReduceJob", "is_process_safe", "stable_partition"]
+__all__ = ["MapReduceJob", "is_process_safe", "reduce_order", "stable_partition"]
 
 
 def stable_partition(key: Any, num_reducers: int) -> int:
@@ -113,3 +113,20 @@ def is_process_safe(job: MapReduceJob) -> bool:
     every job inherits as ``True`` and driver-state-sharing jobs override.
     """
     return bool(job.process_safe)
+
+
+def reduce_order(
+    job: MapReduceJob, records: list[tuple[Any, Any]]
+) -> list[tuple[Any, Any]]:
+    """``records`` in the order ``job``'s reducer consumes them.
+
+    A stable sort by ``job.sort_key`` (reversed when the job sorts
+    descending), so equal keys keep their emission order.  Both shuffles
+    deliver a partition that this sort leaves unchanged
+    (:mod:`repro.mapreduce.shuffle`).
+    """
+    return sorted(
+        records,
+        key=lambda record: job.sort_key(record[0]),
+        reverse=job.sort_descending,
+    )

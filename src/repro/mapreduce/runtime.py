@@ -46,7 +46,7 @@ from repro.analysis.sanitizer import current as sanitizer_current
 from repro.exceptions import JobFailedError
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import InputSplit
-from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.job import MapReduceJob, reduce_order
 from repro.mapreduce.serde import records_size
 from repro.mapreduce.shuffle import ShuffleBase, ShuffleConfig, make_shuffle
 from repro.mapreduce.tracing import (
@@ -179,12 +179,7 @@ def run_reduce_task(
     job: MapReduceJob, partition: list[tuple[Any, Any]]
 ) -> list[tuple[Any, Any]]:
     """One reduce task: sort the partition, then reduce it whole."""
-    ordered = sorted(
-        partition,
-        key=lambda record: job.sort_key(record[0]),
-        reverse=job.sort_descending,
-    )
-    return list(job.reduce_partition(ordered))
+    return list(job.reduce_partition(reduce_order(job, partition)))
 
 
 def run_task_attempts(
@@ -393,7 +388,11 @@ class LocalRuntime:
         partitions = shuffle.partitions()
         sanitizer = sanitizer_current()
         if sanitizer is not None:
-            sanitizer.observe_partitions(job.name, partitions)
+            # Hash what the reducers consume: the memory shuffle hands over
+            # emission order, the external one an already-sorted stream.
+            sanitizer.observe_partitions(
+                job.name, [reduce_order(job, partition) for partition in partitions]
+            )
         reduce_results = self._execute_reduce_tasks(job, partitions)
         reduce_task_seconds = [span.wall_seconds for _, span in reduce_results]
         reducer_outputs = [output for output, _ in reduce_results]

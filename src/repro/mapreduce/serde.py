@@ -331,9 +331,11 @@ def _encode_group(items: list[Any]) -> bytes:
     """Encode one stream of keys (or values, or tuple positions).
 
     A homogeneous stream becomes a single typed column; a heterogeneous
-    one (e.g. DGreedyAbs's interleaved 4-tuple ``hist`` and 3-tuple
-    ``final`` keys) is partitioned by signature into sub-columns plus a
-    one-byte-per-record selector array that restores the interleaving.
+    one (the codec's adversarial mixed-signature case: interleaved
+    4-tuple ``hist`` and 3-tuple ``final`` keys, the shape DGreedyAbs's
+    job 1 emitted before it shipped one columnar record per run) is
+    partitioned by signature into sub-columns plus a one-byte-per-record
+    selector array that restores the interleaving.
 
     Homogeneity is detected with ``set(map(type, ...))`` — one C-level
     pass — and mixed streams are partitioned by numpy type-id labeling
@@ -358,7 +360,7 @@ def _encode_group(items: list[Any]) -> bytes:
         distinct = np.nonzero(np.bincount(arities))[0].tolist()
         if len(distinct) == 1:
             return _encode_column(f"t{distinct[0]}", items)
-        # All tuples, mixed arity (the shuffle's hist/final interleaving):
+        # All tuples, mixed arity (e.g. interleaved hist/final keys):
         # partition by length directly, skipping the type-id pass.
         groups = {f"t{arity}": np.nonzero(arities == arity)[0] for arity in distinct}
     elif not kinds:

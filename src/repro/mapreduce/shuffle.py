@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.exceptions import InvalidInputError
-from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.job import MapReduceJob, reduce_order
 from repro.mapreduce.serde import decode_batch, encode_batch
 
 __all__ = [
@@ -173,15 +173,6 @@ class ExternalShuffle(ShuffleBase):
             )
         return self._run_dir
 
-    def _sorted(self, records: list[tuple[Any, Any]]) -> list[tuple[Any, Any]]:
-        """Stable-sort one buffer/run exactly as ``run_reduce_task`` would."""
-        sort_key = self.job.sort_key
-        return sorted(
-            records,
-            key=lambda record: sort_key(record[0]),
-            reverse=self.job.sort_descending,
-        )
-
     def add_records(self, records: list[tuple[Any, Any]], modeled_bytes: int) -> None:
         partition = self.job.partition
         for record in records:
@@ -200,7 +191,7 @@ class ExternalShuffle(ShuffleBase):
             spilled = True
             run_index = len(self._runs[partition_id])
             path = run_dir / f"p{partition_id:05d}-run{run_index:05d}.rprb"
-            encoded = encode_batch(self._sorted(buffer))
+            encoded = encode_batch(reduce_order(self.job, buffer))
             path.write_bytes(encoded)
             self._runs[partition_id].append(path)
             self.stats["spilled_records"] += len(buffer)
@@ -220,7 +211,7 @@ class ExternalShuffle(ShuffleBase):
                 decode_batch(path.read_bytes())
                 for path in self._runs[partition_id]
             ]
-            tail = self._sorted(self._buffers[partition_id])
+            tail = reduce_order(self.job, self._buffers[partition_id])
             if tail:
                 runs.append(tail)
             self.stats["merged_runs_max"] = max(

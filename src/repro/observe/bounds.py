@@ -34,16 +34,29 @@ uses the grid the run actually used.
 DGreedyAbs histogram bound
 --------------------------
 
-Job 1 emits, per (candidate, base sub-tree), at most one bucket record
-per greedy removal plus one final-error record.  A base sub-tree of
-``s`` leaves has at most ``s - 1`` removable detail coefficients (the
-average slot belongs to the root sub-tree), and there are at most
-``min(R, B) + 1`` candidates over ``R = N / s`` sub-trees, so::
+Job 1 emits one record per (base sub-tree, distinct incoming error,
+reducer): the run's histogram as columns plus the ids of the candidates
+it serves.  Take ``R = N / s`` sub-trees of ``s`` leaves,
+``C = min(R, B) + 1`` candidates and ``r`` reducers:
 
-    bytes(job 1) <= (min(R, B) + 1) * R * ((s - 1) * hist_rec + final_rec)
+* candidate ``k`` goes to reducer ``k * r // C``, so each reducer owns a
+  contiguous range of the nested candidates.  A sub-tree's incoming
+  error changes only when a candidate adds one of its ``log2 R + 1``
+  root-path nodes, so the candidates split into at most ``log2 R + 2``
+  runs of equal error, and the ``r - 1`` range boundaries cut them into
+  at most ``P = min(C, log2 R + 1 + r)`` records;
+* the candidate ids of one sub-tree's records total ``C``;
+* a record holds at most ``s - 1`` buckets (one per removable detail
+  coefficient; the average slot belongs to the root sub-tree).
 
-Record sizes are taken from :func:`repro.mapreduce.serde.record_size` on
-template records, so the bound tracks the serde model by construction.
+Hence::
+
+    bytes(job 1) <= R * (P * (rec + (s - 1) * bucket) + C * id)
+
+with ``rec``, ``bucket`` and ``id`` (44, 24 and 8 bytes) read off
+:func:`repro.mapreduce.serde.record_size` on template records, so the
+bound tracks the serde model by construction.  The reducer count ``r``
+comes from the traced job's reduce stage.
 """
 
 from __future__ import annotations
@@ -51,6 +64,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Any
+
+import numpy as np
 
 from repro.algos.minhaarspace import MRow, approx_params
 from repro.core.partitioning import LayerPlan, parse_layer_plan, root_base_partition
@@ -151,7 +166,26 @@ def dmhaarspace_layer_bounds(
     return bounds
 
 
-def dgreedy_histogram_bound(n: int, base_leaves: int, budget: int) -> int:
+def _histogram_record_size(ids: int, buckets: int) -> int:
+    """Serde bytes of one job-1 record serving ``ids`` candidates."""
+    key = (0, 0, 0)  # (reducer, sub-tree, first candidate id)
+    value = (
+        np.zeros(ids, dtype=np.int64),
+        np.zeros(buckets, dtype=np.float64),
+        np.zeros(buckets, dtype=np.int64),
+        np.zeros(buckets, dtype=np.float64),
+        0.0,
+    )
+    return record_size(key, value)
+
+
+#: Job-1 record framing, and the bytes each bucket and candidate id adds.
+_HISTOGRAM_RECORD = _histogram_record_size(0, 0)
+_HISTOGRAM_BUCKET = _histogram_record_size(0, 1) - _HISTOGRAM_RECORD
+_HISTOGRAM_ID = _histogram_record_size(1, 0) - _HISTOGRAM_RECORD
+
+
+def dgreedy_histogram_bound(n: int, base_leaves: int, budget: int, reducers: int) -> int:
     """Histogram-compression byte budget for DGreedyAbs's job 1.
 
     See the module docstring for the derivation; record sizes come from
@@ -160,10 +194,9 @@ def dgreedy_histogram_bound(n: int, base_leaves: int, budget: int) -> int:
     """
     r, _ = root_base_partition(n, base_leaves)
     candidates = min(r, budget) + 1
-    removals_per_subtree = base_leaves - 1
-    hist_record = record_size(("hist", 0, 0, 0.0), (0, 0.0))
-    final_record = record_size(("final", 0, 0), 0.0)
-    return candidates * r * (removals_per_subtree * hist_record + final_record)
+    records = min(candidates, r.bit_length() + reducers)  # log2 R + 1 + reducers
+    per_record = _HISTOGRAM_RECORD + (base_leaves - 1) * _HISTOGRAM_BUCKET
+    return r * (records * per_record + candidates * _HISTOGRAM_ID)
 
 
 @dataclass(frozen=True)
@@ -250,6 +283,14 @@ def check_dmhaarspace_trace(
     return checks
 
 
+def _reduce_tasks(job: dict[str, Any]) -> int:
+    """The number of reduce tasks a traced job ran."""
+    for stage in job.get("stages", []):
+        if stage.get("name") == "reduce":
+            return len(stage.get("tasks", []))
+    return 0
+
+
 def check_dgreedy_trace(
     trace: dict[str, Any], n: int, base_leaves: int, budget: int
 ) -> list[BoundCheck]:
@@ -257,13 +298,14 @@ def check_dgreedy_trace(
     jobs = _jobs_by_label(trace, "dgreedy.histograms")
     if not jobs:
         raise InvalidInputError("trace contains no dgreedy.histograms jobs to check")
-    bound = dgreedy_histogram_bound(n, base_leaves, budget)
     return [
         BoundCheck(
             job_name=str(job.get("name", "")),
             stage_label="dgreedy.histograms",
             measured_bytes=job_emitted_bytes(job),
-            bound_bytes=bound,
+            bound_bytes=dgreedy_histogram_bound(
+                n, base_leaves, budget, _reduce_tasks(job)
+            ),
         )
         for job in jobs
     ]

@@ -6,6 +6,7 @@ only run on tiny inputs.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -116,6 +117,82 @@ def brute_force_min_restricted_size(data, epsilon):
             if synopsis.max_abs_error(values) <= epsilon:
                 return size
     return n
+
+
+def scalar_bucketized_histogram(run, bucket_width):
+    """DGreedyAbs's Algorithm 3 bucketing, one removal at a time.
+
+    Returns ``([(bucket_error, node_count, cut_error), ...], final_error)``.
+    The oracle for the columnar ``repro.core.dgreedy._bucketized_histogram``.
+    """
+    histogram = []
+    max_error = -math.inf
+    count = 0
+    cut_error = run.initial_error
+    previous_actual = run.initial_error
+    for removal in run.removals:
+        bucket = math.floor(removal.error_after / bucket_width) * bucket_width
+        if bucket <= max_error:
+            count += 1
+        else:
+            if count:
+                histogram.append((max_error, count, cut_error))
+            max_error = bucket
+            count = 1
+            cut_error = previous_actual
+        previous_actual = removal.error_after
+    if count:
+        histogram.append((max_error, count, cut_error))
+    final_error = run.removals[-1].error_after if run.removals else run.initial_error
+    return histogram, final_error
+
+
+def scalar_best_cut_over_thresholds(
+    subtrees: dict[int, dict], base_budget: int
+) -> tuple[float, float]:
+    """DGreedyAbs's threshold sweep, one bucket event at a time.
+
+    ``subtrees`` maps sub-tree -> ``{"buckets": [(bucket_error, count,
+    cut_error), ...], "final": final_error}``.  The oracle for the
+    vectorized ``repro.core.dgreedy._best_cut_over_thresholds``.
+
+    The sweep state starts at "retain nothing" (every sub-tree at its
+    final, all-removed error) and lowers the threshold bucket by bucket;
+    crossing a sub-tree's bucket retains that bucket's nodes and moves the
+    sub-tree to the bucket's cut error.
+    """
+    if base_budget < 0:
+        return math.inf, math.inf
+    current_error: dict[int, float] = {
+        subtree: entry["final"] for subtree, entry in subtrees.items()
+    }
+    events = sorted(
+        (
+            (bucket_error, subtree, count, cut_error)
+            for subtree, entry in subtrees.items()
+            for bucket_error, count, cut_error in entry["buckets"]
+        ),
+        key=lambda event: -event[0],
+    )
+    best_error = max(current_error.values(), default=0.0)
+    best_threshold = math.inf
+    retained = 0
+    position = 0
+    while position < len(events):
+        threshold = events[position][0]
+        # Apply every bucket at this threshold together.
+        while position < len(events) and events[position][0] == threshold:
+            _, subtree, count, cut_error = events[position]
+            retained += count
+            current_error[subtree] = cut_error
+            position += 1
+        if retained > base_budget:
+            break
+        error = max(current_error.values())
+        if error < best_error:
+            best_error = error
+            best_threshold = threshold
+    return best_error, best_threshold
 
 
 def global_to_local(subtree_root, node):

@@ -8,7 +8,10 @@ Two families of assertions, both against traces captured by
   one-record-per-subtree floor (so the bound is *tracking* the emission,
   not merely dwarfing it).
 * **Histogram compression** — DGreedyAbs's job 1 never emits more than
-  ``(min(R,B)+1) * R * ((s-1) * hist_rec + final_rec)`` bytes.
+  ``R * (P * (rec + (s-1) * bucket) + C * id)`` bytes, with ``C =
+  min(R,B)+1`` candidates and ``P = min(C, log2 R + 1 + reducers)``
+  records per sub-tree, and at least a quarter of that (so the bound
+  keeps tracking the emission).
 
 Both families run on synthetic uniform data and on the NYCT-shaped
 dataset, at the tolerances the bound derivation gives — no slack factors.
@@ -172,16 +175,20 @@ class TestDGreedyHistogramBound:
                 f"histogram emission {check.measured_bytes} bytes exceeds "
                 f"the compression bound {check.bound_bytes}"
             )
-            assert check.measured_bytes > 0
+            assert check.utilization >= 0.25
 
     def test_bound_formula_matches_partition(self) -> None:
-        # R = N / s sub-trees; min(R, B) + 1 candidates; s - 1 removable
-        # nodes each. With B >= R every candidate exists.
-        n, s, b = 256, 16, 256
+        # R = N / s sub-trees; C = min(R, B) + 1 candidates (with B >= R
+        # every candidate exists); P = min(C, log2 R + 1 + reducers)
+        # records per sub-tree, each of 44 B plus 24 B per bucket (at most
+        # s - 1), plus 8 B per candidate id.
+        n, s, b, reducers = 256, 16, 256, 4
         r = n // s
-        bound = dgreedy_histogram_bound(n, s, b)
-        per_subtree_records = s - 1  # hist buckets
-        assert bound == (r + 1) * r * (per_subtree_records * 40 + 25)
+        records = min(r + 1, 4 + 1 + reducers)
+        bound = dgreedy_histogram_bound(n, s, b, reducers)
+        assert bound == r * (records * (44 + (s - 1) * 24) + (r + 1) * 8)
+        # With more reducers than candidates, every candidate is a record.
+        assert dgreedy_histogram_bound(n, s, 3, 16) == r * (4 * (44 + 15 * 24) + 4 * 8)
 
 
 class TestExternalShuffleBounds:
@@ -201,6 +208,7 @@ class TestExternalShuffleBounds:
         assert checks
         for check in checks:
             assert 0 < check.measured_bytes <= check.bound_bytes
+            assert check.utilization >= 0.25
         # The tiny buffer really forced the out-of-core path.
         assert any(job.shuffle_stats.get("spills", 0) for job in cluster.log.jobs)
 

@@ -17,6 +17,7 @@ from repro.core.dgreedy import (
 from repro.exceptions import InvalidInputError
 from repro.mapreduce import SimulatedCluster
 from repro.wavelet.transform import haar_transform
+from tests._reference import scalar_bucketized_histogram
 
 
 def uniform_data(n, seed=0, high=1000.0):
@@ -173,34 +174,43 @@ class TestBucketizedHistogram:
 
     def test_counts_cover_every_removal(self):
         run = self._run(uniform_data(16, seed=11))
-        histogram, _ = _bucketized_histogram(run, bucket_width=1.0)
-        assert sum(count for _, count, _ in histogram) == len(run.removals)
+        _, counts, _, _ = _bucketized_histogram(run, bucket_width=1.0)
+        assert counts.dtype == np.int64
+        assert int(counts.sum()) == len(run.removals)
 
     def test_buckets_are_strictly_increasing(self):
         run = self._run(uniform_data(16, seed=12))
-        histogram, _ = _bucketized_histogram(run, bucket_width=1.0)
-        errors = [error for error, _, _ in histogram]
-        assert errors == sorted(errors)
-        assert len(set(errors)) == len(errors)
+        errors, _, _, _ = _bucketized_histogram(run, bucket_width=1.0)
+        assert errors.dtype == np.float64
+        assert bool(np.all(errors[1:] > errors[:-1]))
 
     def test_wider_buckets_compact_more(self):
         run = self._run(uniform_data(64, seed=13))
-        fine, _ = _bucketized_histogram(run, bucket_width=1e-9)
-        coarse, _ = _bucketized_histogram(run, bucket_width=100.0)
+        fine, _, _, _ = _bucketized_histogram(run, bucket_width=1e-9)
+        coarse, _, _, _ = _bucketized_histogram(run, bucket_width=100.0)
         assert len(coarse) < len(fine)
 
     def test_final_error_is_last_actual(self):
         run = self._run(uniform_data(16, seed=14), incoming=5.0)
-        _, final = _bucketized_histogram(run, bucket_width=1.0)
+        *_, final = _bucketized_histogram(run, bucket_width=1.0)
         assert final == run.removals[-1].error_after
+
+    @pytest.mark.parametrize("bucket_width", [1e-9, 0.5, 3.0, 100.0])
+    @pytest.mark.parametrize("incoming", [0.0, 4.0])
+    def test_matches_scalar_reference(self, bucket_width, incoming):
+        run = self._run(uniform_data(64, seed=16), incoming=incoming)
+        errors, counts, cuts, final = _bucketized_histogram(run, bucket_width)
+        expected, expected_final = scalar_bucketized_histogram(run, bucket_width)
+        assert list(zip(errors.tolist(), counts.tolist(), cuts.tolist())) == expected
+        assert final == expected_final
 
     def test_cut_errors_bounded_by_bucket(self):
         # A bucket's cut error is an *actual* state error and can sit far
         # below the bucket's running max, but never above it... except for
         # the very first bucket whose cut is the initial incoming state.
         run = self._run(uniform_data(32, seed=15), incoming=3.0)
-        histogram, _ = _bucketized_histogram(run, bucket_width=0.5)
-        for bucket_error, _, cut_error in histogram[1:]:
+        errors, _, cuts, _ = _bucketized_histogram(run, bucket_width=0.5)
+        for bucket_error, cut_error in zip(errors[1:], cuts[1:]):
             assert cut_error <= bucket_error + 0.5 + 1e-9
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.algos.greedy_abs import GreedyRun, Removal, greedy_abs
 from repro.algos.minhaarspace import MRow, min_haar_space, min_haar_space_restricted
@@ -16,6 +18,7 @@ from repro.exceptions import InvalidInputError
 from repro.mapreduce import LocalRuntime, aligned_splits
 from repro.serving import ShardedSynopsisStore
 from repro.wavelet.transform import haar_transform
+from tests._reference import scalar_best_cut_over_thresholds
 
 
 class TestGreedyRunEdges:
@@ -37,9 +40,29 @@ class TestGreedyRunEdges:
         assert step == 0 and error == 0.0
 
 
+def _columns(subtrees):
+    """The sweep's columnar input for the reference's dict-of-buckets form."""
+    return {
+        subtree: (
+            np.array([error for error, _, _ in entry["buckets"]], dtype=np.float64),
+            np.array([count for _, count, _ in entry["buckets"]], dtype=np.int64),
+            np.array([cut for _, _, cut in entry["buckets"]], dtype=np.float64),
+            entry["final"],
+        )
+        for subtree, entry in subtrees.items()
+    }
+
+
+def _both_sweeps(subtrees, base_budget):
+    """Run the vectorized sweep and the scalar reference; they must agree."""
+    expected = scalar_best_cut_over_thresholds(subtrees, base_budget)
+    assert _best_cut_over_thresholds(_columns(subtrees), base_budget) == expected
+    return expected
+
+
 class TestThresholdSweepEdges:
     def test_negative_base_budget_is_infeasible(self):
-        error, threshold = _best_cut_over_thresholds({}, -1)
+        error, threshold = _both_sweeps({}, -1)
         assert math.isinf(error) and math.isinf(threshold)
 
     def test_zero_budget_keeps_nothing(self):
@@ -47,7 +70,7 @@ class TestThresholdSweepEdges:
             0: {"buckets": [(5.0, 3, 1.0)], "final": 7.0},
             1: {"buckets": [(2.0, 2, 0.5)], "final": 4.0},
         }
-        error, threshold = _best_cut_over_thresholds(subtrees, 0)
+        error, threshold = _both_sweeps(subtrees, 0)
         assert error == 7.0  # max of final errors
         assert math.isinf(threshold)
 
@@ -58,7 +81,7 @@ class TestThresholdSweepEdges:
             0: {"buckets": [(9.0, 1, 1.0)], "final": 9.0},
             1: {"buckets": [], "final": 2.0},
         }
-        error, threshold = _best_cut_over_thresholds(subtrees, 1)
+        error, threshold = _both_sweeps(subtrees, 1)
         assert error == 2.0 and threshold == 9.0
 
     def test_budget_cuts_off_partial_threshold(self):
@@ -66,8 +89,39 @@ class TestThresholdSweepEdges:
             0: {"buckets": [(9.0, 5, 1.0)], "final": 9.0},
         }
         # Budget below the bucket count: cannot cross the threshold.
-        error, threshold = _best_cut_over_thresholds(subtrees, 3)
+        error, threshold = _both_sweeps(subtrees, 3)
         assert error == 9.0 and math.isinf(threshold)
+
+
+#: Bucket errors come from a small grid so thresholds tie across sub-trees.
+_GRID = [0.25 * step for step in range(17)]
+_ERRORS = st.one_of(
+    st.sampled_from(_GRID),
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _histograms(draw):
+    subtrees = {}
+    for subtree in range(draw(st.integers(min_value=1, max_value=8))):
+        bucket_errors = sorted(draw(st.lists(st.sampled_from(_GRID), max_size=12, unique=True)))
+        subtrees[subtree] = {
+            "buckets": [
+                (error, draw(st.integers(min_value=1, max_value=5)), draw(_ERRORS))
+                for error in bucket_errors
+            ],
+            "final": draw(_ERRORS),
+        }
+    total = sum(count for entry in subtrees.values() for _, count, _ in entry["buckets"])
+    return subtrees, draw(st.integers(min_value=-1, max_value=total + 1))
+
+
+class TestThresholdSweepDifferential:
+    @given(_histograms())
+    def test_vectorized_sweep_matches_scalar_reference(self, case):
+        subtrees, base_budget = case
+        _both_sweeps(subtrees, base_budget)
 
 
 class TestTinyInputs:

@@ -101,8 +101,9 @@ class TestCodecRoundTrip:
             assert type(dvalue) is type(value)
 
     def test_mixed_signature_stream_restores_interleaving(self):
-        # DGreedyAbs's job 1 interleaves 4-tuple "hist" keys with 3-tuple
-        # "final" keys — the exact shape the 'M' column exists for.
+        # Interleaved 4-tuple "hist" and 3-tuple "final" keys, the shape
+        # DGreedyAbs's job 1 emitted before it shipped one columnar record
+        # per run: the adversarial mixed-signature case the 'M' column is for.
         records = []
         for i in range(50):
             records.append((("hist", i, i % 4, float(i)), (i, float(i) / 2)))
@@ -407,7 +408,7 @@ class TestSpillCleanup:
 
 
 class HistogramShaped(MapReduceJob):
-    """Toy job emitting DGreedyAbs job-1 shaped records.
+    """Toy job emitting the per-bucket records DGreedyAbs's job 1 used to emit.
 
     Keys interleave 4-tuple ``hist`` and 3-tuple ``final`` records; values
     interleave ``(count, cut_error)`` tuples and floats.  Repeated keys

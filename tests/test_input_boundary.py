@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.dgreedy import d_greedy_abs, d_greedy_rel
 from repro.core.thresholding import ALGORITHMS, build_synopsis
 from repro.data.loader import as_finite_series, pad_to_power_of_two
 from repro.exceptions import InvalidInputError
@@ -133,3 +134,24 @@ def test_cli_build_reports_non_finite_sanity_bound(tmp_path, capsys):
     argv = ["build", str(data), "--budget", "2", "--algorithm", "greedy-rel"]
     assert cli_main([*argv, "--sanity-bound", "nan"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+#: DGreedy parameters that used to hang (an infinite bucket width makes
+#: every bucket NaN) or escape as a bare ValueError, OverflowError,
+#: TypeError or IndexError.
+HOSTILE_DGREEDY = [
+    ("bucket_width", math.inf),
+    ("bucket_width", math.nan),
+    ("bucket_width", 5e-324),
+    ("level2_workers", 0),
+    ("level2_workers", -1),
+    ("level2_workers", 2.5),
+]
+
+
+@pytest.mark.parametrize("name,value", HOSTILE_DGREEDY)
+@pytest.mark.parametrize("build", [d_greedy_abs, d_greedy_rel], ids=["abs", "rel"])
+def test_dgreedy_rejects_hostile_parameters(build, name, value):
+    data = np.random.default_rng(0).uniform(0.0, 1000.0, 256)
+    with pytest.raises(InvalidInputError):
+        build(data, 32, **{name: value})

@@ -190,7 +190,8 @@ def _containers(children):
 
 _hostile_values = st.recursive(_scalars, _containers, max_leaves=8)
 
-#: DGreedyAbs job-1 traffic: 4-tuple ``hist`` keys with ``(count,
+#: The per-bucket records DGreedyAbs's job 1 emitted before it shipped
+#: one columnar record per run: 4-tuple ``hist`` keys with ``(count,
 #: cut_error)`` values interleaved with 3-tuple ``final`` keys with float
 #: values — mixed arities in the keys, mixed types in the values.
 _histogram_records = st.one_of(

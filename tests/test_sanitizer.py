@@ -2,9 +2,10 @@
 
 Covers three layers: :func:`stable_digest` canonicality (equal values
 hash equal across dict/set order and numpy layout; unequal values hash
-apart), report collection and comparison, and the end-to-end claim —
+apart), report collection and comparison, and the end-to-end claims —
 the local and thread-pool runtimes produce bit-identical sanitizer
-reports for the same distributed DP build.
+reports for the same distributed DP build, and so do the in-memory and
+the external (spilling) shuffle.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from repro.analysis.sanitizer import (
     compare_reports,
     stable_digest,
 )
+from repro.core.dgreedy import d_greedy_abs
+from repro.core.dindirect import d_indirect_haar
 from repro.core.dp_framework import dm_haar_space
-from repro.mapreduce import LocalRuntime, SimulatedCluster
+from repro.mapreduce import LocalRuntime, ShuffleConfig, SimulatedCluster
 from repro.mapreduce.parallel import ThreadPoolRuntime
 
 
@@ -140,14 +143,16 @@ class TestSanitizerReports:
 
 
 class TestEndToEnd:
-    def _sanitized_build(self, runtime) -> dict:
+    def _sanitized_build(self, runtime, build=None) -> dict:
         rng = np.random.default_rng(23)
         data = rng.integers(0, 50, size=128).astype(np.float64)
+        cluster = SimulatedCluster(runtime=runtime)
         active = sanitizer.activate(Sanitizer())
         try:
-            dm_haar_space(
-                data, 6.0, 1.0, SimulatedCluster(runtime=runtime), subtree_leaves=16
-            )
+            if build is None:
+                dm_haar_space(data, 6.0, 1.0, cluster, subtree_leaves=16)
+            else:
+                build(data, 16, cluster)
         finally:
             sanitizer.deactivate()
         return active.report()
@@ -158,3 +163,26 @@ class TestEndToEnd:
         assert local["jobs"], "the build must have observed MapReduce jobs"
         assert local["kernel_rows"], "the build must have observed kernel rows"
         assert compare_reports(local, threads) == []
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda data, budget, cluster: d_greedy_abs(
+                data, budget, cluster, base_leaves=16
+            ),
+            # dm_haar_space's layer jobs are map-only; DIndirectHaar adds
+            # the reducing CON and bound jobs in front of the same layers.
+            lambda data, budget, cluster: d_indirect_haar(
+                data, budget, 1.0, cluster, subtree_leaves=16
+            ),
+        ],
+        ids=["dgreedy-abs", "dindirect-haar"],
+    )
+    def test_memory_and_external_shuffles_are_bit_identical(self, build):
+        # Partitions are hashed in the order the reducers consume them, so
+        # the report cannot depend on whether the shuffle spilled.
+        external = ShuffleConfig(mode="external", buffer_bytes=256)
+        memory_report = self._sanitized_build(LocalRuntime(), build)
+        external_report = self._sanitized_build(LocalRuntime(shuffle=external), build)
+        assert any("partitions" in job for job in memory_report["jobs"])
+        assert compare_reports(memory_report, external_report) == []
