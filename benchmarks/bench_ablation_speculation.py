@@ -20,8 +20,8 @@ from repro.bench import print_table
 from repro.core.dp_framework import dm_haar_space
 from repro.data import uniform_dataset
 from repro.mapreduce import (
+    FailureInjector,
     LocalRuntime,
-    ProcessSafeFailureInjector,
     SimulatedCluster,
     price_log,
 )
@@ -55,9 +55,7 @@ def regenerate_speculation_ablation(
         # A fixed injector seed (decoupled from the data seed) and a
         # generous retry budget: stragglers are tasks that lose several
         # near-complete attempts, not tasks the job gives up on.
-        injector = ProcessSafeFailureInjector(
-            probability, seed=11, max_attempts=10
-        )
+        injector = FailureInjector(probability, seed=11, max_attempts=10)
         cluster = SimulatedCluster(
             spec_config, runtime=LocalRuntime(failure_injector=injector)
         )

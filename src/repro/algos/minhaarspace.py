@@ -619,8 +619,8 @@ def _run_levels(
         size //= 2
     sanitizer = sanitizer_current()
     if sanitizer is not None:
-        # Sub-trees may run concurrently (thread map tasks); the sanitizer
-        # sorts kernel digests at report time, so call order cannot matter.
+        # The sanitizer sorts kernel digests at report time, so the order
+        # in which sub-trees are observed cannot matter.
         sanitizer.observe_kernel_rows(rows)
     return rows
 

@@ -17,20 +17,20 @@ The whole-program layer (:mod:`repro.analysis.project` symbol table +
 :mod:`repro.analysis.callgraph` summaries) adds interprocedural families:
 
 ==========  ==============================================================
-RC001-003   shared-state races from concurrency roots (task methods,
-            pool-spawned closures) — see :mod:`repro.analysis.races`
 PS003/004   transitive pickle-safety verdicts vs. the declared
-            ``process_safe`` flag — see :mod:`repro.analysis.pickling`
-LS001-003   suppression hygiene: no blanket ignores, no stale entries,
-            justified RC suppressions — see :mod:`repro.analysis.core`
+            ``process_safe`` flag, including task writes a worker process
+            would lose — see :mod:`repro.analysis.pickling`
+LS001-002   suppression hygiene: no blanket ignores, no stale entries —
+            see :mod:`repro.analysis.core`
 ==========  ==============================================================
 
 Each bug class has one check: annotation coverage is left to CI's
 ``mypy --strict``, and process safety to the transitive PS003/PS004
-verdicts.  Run ``python -m repro.analysis src/`` (the CI lint gate), or
-call :func:`analyze_paths` / :func:`project_findings` programmatically.
-Suppress one finding with a trailing ``# lint: ignore[RULE-ID]`` comment
-(RC suppressions additionally need ``-- justification``);
+verdicts.  Tasks share no memory (they run sequentially in the driver
+or in isolated worker processes), so there is no race family.  Run
+``python -m repro.analysis src/`` (the CI lint gate), or call
+:func:`analyze_paths` / :func:`project_findings` programmatically.
+Suppress one finding with a trailing ``# lint: ignore[RULE-ID]`` comment;
 ``docs/STATIC_ANALYSIS.md`` documents every rule with the incident that
 motivated it.  ``repro.analysis.sanitizer`` is the dynamic cross-check:
 ``repro build --sanitize`` hashes shuffle streams and kernel row tables
@@ -71,7 +71,6 @@ from repro.analysis.kernel_contracts import (
 )
 from repro.analysis.pickling import PICKLE_RULES, job_pickle_verdicts, pickle_findings
 from repro.analysis.project import ProjectIndex, build_index
-from repro.analysis.races import RACE_RULES, RaceAnalysis, race_findings
 
 __all__ = [
     "AllDrift",
@@ -86,8 +85,6 @@ __all__ = [
     "PICKLE_RULES",
     "ParsedModule",
     "ProjectIndex",
-    "RACE_RULES",
-    "RaceAnalysis",
     "Rule",
     "SUPPRESSION_RULES",
     "SetIterationIntoEmit",
@@ -104,7 +101,6 @@ __all__ = [
     "pickle_findings",
     "project_findings",
     "project_rule_ids",
-    "race_findings",
     "scan_suppressions",
 ]
 
@@ -127,29 +123,25 @@ def all_rules() -> list[Rule]:
 
 
 def project_rule_ids() -> set[str]:
-    """Rule ids the whole-program layer can emit (RC + pickle verdicts)."""
-    return set(RACE_RULES) | set(PICKLE_RULES)
+    """Rule ids the whole-program layer can emit (the pickle verdicts)."""
+    return set(PICKLE_RULES)
 
 
 def project_findings(paths: list[str | Path]) -> list[Finding]:
-    """Whole-program findings (RC races + PS003/PS004) for ``paths``.
+    """Whole-program findings (PS003/PS004) for ``paths``.
 
-    Builds the project symbol table, runs the race detector and the
-    pickle-safety verdicts, then filters the results through each file's
-    rule-scoped suppressions.  Misuse meta-findings (LS001/LS003) are
-    left to the per-file pass — which walked the same files already — so
-    one bad comment is reported once; unused-suppression findings (LS002)
-    for the interprocedural rule ids are reported here, where those ids
-    are actually known.
+    Builds the project symbol table, runs the pickle-safety verdicts,
+    then filters the results through each file's rule-scoped
+    suppressions.  Blanket-comment findings (LS001) are left to the
+    per-file pass — which walked the same files already — so one bad
+    comment is reported once; unused-suppression findings (LS002) for
+    the interprocedural rule ids are reported here, where those ids are
+    actually known.
     """
     from pathlib import Path as _Path
 
-    from repro.analysis.callgraph import build_summaries
-
     index = build_index([_Path(p) for p in paths])
-
-    summaries = build_summaries(index)
-    raw = race_findings(index, summaries) + pickle_findings(index, summaries)
+    raw = pickle_findings(index)
     known = project_rule_ids()
     by_path: dict[str, list[Finding]] = {}
     for finding in raw:

@@ -1,8 +1,7 @@
 """``python -m repro.analysis [paths]`` — the CI lint gate.
 
-Runs the per-file rule pack and the whole-program analyses — the RC
-race detector and the PS003/PS004 pickle-safety verdicts — over the
-same paths.  ``--sarif-file`` writes the combined findings as SARIF
+Runs the per-file rule pack and the whole-program PS003/PS004
+pickle-safety verdicts over the same paths.  ``--sarif-file`` writes the combined findings as SARIF
 2.1.0 for inline PR annotation; ``--compare-digests`` compares two
 sanitizer reports instead of analyzing anything.
 
@@ -19,7 +18,6 @@ from pathlib import Path
 
 from repro.analysis import (
     PICKLE_RULES,
-    RACE_RULES,
     all_rules,
     analyze_paths,
     project_findings,
@@ -33,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="repro invariant analyzer (determinism, kernel contracts, "
-        "API hygiene, interprocedural races, transitive pickle safety)",
+        "API hygiene, transitive pickle safety)",
     )
     parser.add_argument(
         "paths",
@@ -64,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _rule_descriptions() -> dict[str, str]:
     described = {rule.rule_id: rule.summary for rule in all_rules()}
-    described.update(RACE_RULES)
     described.update(PICKLE_RULES)
     described.update(SUPPRESSION_RULES)
     return described
@@ -96,8 +93,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.list_rules:
         for rule in rules:
             print(f"{rule.rule_id}  {rule.summary}")
-        for rule_id in sorted(RACE_RULES):
-            print(f"{rule_id}  {RACE_RULES[rule_id]}")
         for rule_id in sorted(PICKLE_RULES):
             print(f"{rule_id}  {PICKLE_RULES[rule_id]}")
         for rule_id in sorted(SUPPRESSION_RULES):

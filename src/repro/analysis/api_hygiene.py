@@ -1,9 +1,8 @@
 """API-hygiene rules: small traps at the package surface.
 
 * **AH001** — mutable default arguments (``def f(x=[])``, and lambdas
-  alike): the default is evaluated once and shared across calls — across
-  concurrent tasks too, so this is also the analyzer's race check for
-  shared defaults.
+  alike): the default is evaluated once and shared across calls, so one
+  call's mutation leaks into the next.
 * **AH002** — bare ``except:``: swallows ``KeyboardInterrupt`` and
   ``SystemExit``; catch a concrete exception (the repo has a
   :class:`~repro.exceptions.ReproError` hierarchy for its own failures).

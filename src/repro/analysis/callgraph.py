@@ -3,10 +3,10 @@
 For every function in a :class:`~repro.analysis.project.ProjectIndex`
 (methods, nested functions, and lambdas included) this module builds one
 :class:`FunctionSummary`: the function's writes (attribute stores,
-subscript stores, mutating container calls, shared-RNG draws), its
-resolved outgoing call edges with argument-to-root bindings, the thread
-or process pools it spawns work on, and the alias structure connecting
-local names back to parameters, closure cells, and call results.
+subscript stores, mutating container calls, RNG draws), its resolved
+outgoing call edges with argument-to-root bindings, and the alias
+structure connecting local names back to parameters, closure cells, and
+call results.
 
 Resolution is *annotation-driven* (the ``mypy --strict`` gate guarantees
 annotations exist): a method call ``x.m(...)`` resolves through the
@@ -15,13 +15,9 @@ declared type of ``x`` — parameter annotation, constructor assignment,
 conservatively fans out to every project subclass override of ``m``.
 ``super().m(...)`` resolves along the enclosing class's project MRO.
 What cannot be resolved (higher-order calls through function-valued
-parameters, external libraries) becomes no edge at all; the race
-detector documents that as its known imprecision rather than guessing.
-
-Lock awareness: writes lexically inside a ``with`` whose context
-expression names a lock (its last attribute component contains
-``"lock"``, e.g. ``with self._lock:``) are marked *guarded* — the
-ordering-safe idiom the RC rules skip.
+parameters, external libraries) becomes no edge at all; the
+pickle-safety analysis documents that as its known imprecision rather
+than guessing.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from repro.analysis.project import (
 __all__ = [
     "CallEdge",
     "FunctionSummary",
-    "SpawnSite",
     "WriteSite",
     "build_summaries",
     "bind_arguments",
@@ -50,20 +45,13 @@ MUTATOR_METHODS = frozenset(
      "clear", "pop", "popitem", "setdefault", "sort", "reverse"}
 )
 
-#: Methods that advance hidden RNG state — a draw from a shared generator
-#: is a write for ordering purposes (``random.Random`` and
-#: ``numpy.random.Generator`` vocabulary).
+#: Methods that advance hidden RNG state — a draw is a write to the
+#: generator (``random.Random`` and ``numpy.random.Generator`` vocabulary).
 RNG_METHODS = frozenset(
     {"random", "randint", "randrange", "randbytes", "getrandbits", "shuffle",
      "choice", "choices", "sample", "uniform", "normal", "standard_normal",
      "integers", "normalvariate", "gauss", "bytes", "permutation", "permuted"}
 )
-
-#: Constructor names whose instances run callables concurrently.
-_EXECUTOR_TYPES = frozenset({"ThreadPoolExecutor", "ProcessPoolExecutor", "Pool"})
-
-#: Executor methods whose first argument is executed on pool workers.
-_SPAWN_METHODS = frozenset({"map", "submit", "apply_async", "imap", "starmap"})
 
 
 @dataclass(frozen=True)
@@ -72,8 +60,8 @@ class WriteSite:
 
     ``root`` is the unresolved local name at the bottom of the attribute
     or subscript chain (``"self"`` for ``self.store[k] = v``), or ``""``
-    for a ``global``-declared rebind.  The race detector resolves roots
-    through the summary's alias graph and the taint state.
+    for a ``global``-declared rebind.  The pickle-safety analysis resolves
+    roots through the summary's alias graph and the taint state.
     """
 
     root: str
@@ -81,16 +69,6 @@ class WriteSite:
     line: int
     col: int
     kind: str  # "assign" | "mutator" | "rng" | "del" | "global" | "nonlocal"
-    guarded: bool
-
-
-@dataclass(frozen=True)
-class SpawnSite:
-    """A callable handed to a thread/process pool (``.map``/``.submit``)."""
-
-    callee: str | None  # function qualname when resolved
-    text: str
-    line: int
 
 
 @dataclass(frozen=True)
@@ -108,7 +86,6 @@ class CallEdge:
     assigned_to: str | None
     #: Class qualname when this is ``Cls(...)`` (callees = its __init__).
     constructs: str | None
-    guarded: bool
 
 
 @dataclass
@@ -126,7 +103,6 @@ class FunctionSummary:
     nonlocal_decls: set[str] = field(default_factory=set)
     writes: list[WriteSite] = field(default_factory=list)
     calls: list[CallEdge] = field(default_factory=list)
-    spawns: list[SpawnSite] = field(default_factory=list)
     #: Local name -> names/tokens it may alias (``<ret:i>`` = call i's result).
     aliases: dict[str, set[str]] = field(default_factory=dict)
     #: Param/free names (or "self") returned directly by a return statement.
@@ -187,21 +163,6 @@ def _attr_chain(node: ast.expr) -> list[str] | None:
     return list(reversed(attrs))
 
 
-def _contains_executor_constructor(node: ast.expr) -> bool:
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            name = _dotted(child.func)
-            if name is not None and name.split(".")[-1] in _EXECUTOR_TYPES:
-                return True
-    return False
-
-
-def _is_lock_context(node: ast.expr) -> bool:
-    target = node.func if isinstance(node, ast.Call) else node
-    text = _dotted(target)
-    return text is not None and "lock" in text.split(".")[-1].lower()
-
-
 class _SummaryBuilder(ast.NodeVisitor):
     """One pass over a single function body (nested bodies excluded)."""
 
@@ -212,7 +173,6 @@ class _SummaryBuilder(ast.NodeVisitor):
         summary: FunctionSummary,
         nested: dict[str, str],
         lambda_names: dict[tuple[str, int, int], str],
-        executor_env: set[str],
         enclosing_bound: set[str],
     ) -> None:
         self.index = index
@@ -220,16 +180,14 @@ class _SummaryBuilder(ast.NodeVisitor):
         self.summary = summary
         self.nested = nested  # local def/lambda name -> qualname
         self.lambda_names = lambda_names  # (module, line, col) -> qualname
-        self.executor_names = set(executor_env)
         self.enclosing_bound = enclosing_bound
-        self.guard_depth = 0
         self.loads: set[str] = set()
         module = index.modules[info.module]
         self.module_names = module.module_names
         self.imports = module.imports
         # Parameter annotations seed the local type environment — this is
-        # what lets `injector.resolve(...)` resolve through the declared
-        # FailureInjector type three modules away.
+        # what lets `injector.attempt_failures(...)` resolve through the
+        # declared FailureInjector type in another module.
         self.local_types: dict[str, str] = {}
         if not isinstance(info.node, ast.Lambda):
             arguments = info.node.args
@@ -272,7 +230,6 @@ class _SummaryBuilder(ast.NodeVisitor):
                 line=getattr(stmt, "lineno", 0),
                 col=getattr(stmt, "col_offset", 0) + 1,
                 kind=kind,
-                guarded=self.guard_depth > 0,
             )
         )
 
@@ -282,8 +239,6 @@ class _SummaryBuilder(ast.NodeVisitor):
         edges.update(call_tokens)
         if value is not None:
             edges.update(self._roots(value))
-        if value is not None and _contains_executor_constructor(value):
-            self.executor_names.add(name)
 
     def _class_of_expr(self, node: ast.expr) -> str | None:
         """Project class of an expression, via annotations."""
@@ -321,29 +276,26 @@ class _SummaryBuilder(ast.NodeVisitor):
         resolved = self.index.resolve(self.info.module, text)
         return resolved if resolved in self.index.classes else None
 
-    def _resolve_callable(self, func: ast.expr) -> tuple[str | None, str]:
-        """Resolve a callable expression to a function qualname + its text."""
+    def _resolve_callable(self, func: ast.expr) -> str | None:
+        """Resolve a callable expression to a function qualname."""
         if isinstance(func, ast.Lambda):
-            key = (self.info.module, func.lineno, func.col_offset)
-            return self.lambda_names.get(key), "<lambda>"
-        text = _dotted(func) or "<dynamic>"
+            return self.lambda_names.get((self.info.module, func.lineno, func.col_offset))
         if isinstance(func, ast.Name):
             if func.id in self.nested:
-                return self.nested[func.id], text
+                return self.nested[func.id]
             resolved = self.index.resolve(self.info.module, func.id)
-            if resolved in self.index.functions:
-                return resolved, text
-            return None, text
+            return resolved if resolved in self.index.functions else None
         if isinstance(func, ast.Attribute):
             receiver_class = self._class_of_expr(func.value)
             if receiver_class is not None:
                 method = self.index.find_method(receiver_class, func.attr)
                 if method is not None:
-                    return method.qualname, text
+                    return method.qualname
+            text = _dotted(func)
             resolved = self.index.resolve(self.info.module, text) if text else None
             if resolved in self.index.functions:
-                return resolved, text
-        return None, text
+                return resolved
+        return None
 
     # -- statements ----------------------------------------------------------
 
@@ -381,7 +333,6 @@ class _SummaryBuilder(ast.NodeVisitor):
                         line=getattr(stmt, "lineno", 0),
                         col=getattr(stmt, "col_offset", 0) + 1,
                         kind="global",
-                        guarded=self.guard_depth > 0,
                     )
                 )
             elif target.id in self.summary.nonlocal_decls:
@@ -392,7 +343,6 @@ class _SummaryBuilder(ast.NodeVisitor):
                         line=getattr(stmt, "lineno", 0),
                         col=getattr(stmt, "col_offset", 0) + 1,
                         kind="nonlocal",
-                        guarded=self.guard_depth > 0,
                     )
                 )
             else:
@@ -462,28 +412,14 @@ class _SummaryBuilder(ast.NodeVisitor):
         self._visit_with(node)
 
     def _visit_with(self, node: ast.With | ast.AsyncWith) -> None:
-        locked = False
         for item in node.items:
-            if isinstance(item.context_expr, ast.Call):
-                self._visit_call(item.context_expr, assigned_to=None)
-            else:
-                self.visit(item.context_expr)
-            if _is_lock_context(item.context_expr):
-                locked = True
+            self.visit(item.context_expr)
             if item.optional_vars is not None:
                 self._handle_store_target(
                     item.optional_vars, node, item.context_expr, []
                 )
-                if isinstance(item.optional_vars, ast.Name) and (
-                    _contains_executor_constructor(item.context_expr)
-                ):
-                    self.executor_names.add(item.optional_vars.id)
-        if locked:
-            self.guard_depth += 1
         for statement in node.body:
             self.visit(statement)
-        if locked:
-            self.guard_depth -= 1
 
     def visit_Return(self, node: ast.Return) -> None:
         if isinstance(node.value, ast.Name):
@@ -522,17 +458,6 @@ class _SummaryBuilder(ast.NodeVisitor):
             self.visit(func.value)
             receiver_roots = self._roots(func.value)
             base = _base_name(func.value)
-            # Pool spawn: the mapped/submitted callable runs concurrently.
-            if (
-                base is not None
-                and base in self.executor_names
-                and func.attr in _SPAWN_METHODS
-                and node.args
-            ):
-                spawned, text = self._resolve_callable(node.args[0])
-                self.summary.spawns.append(
-                    SpawnSite(callee=spawned, text=text, line=node.lineno)
-                )
             # Mutating / RNG method call through a chain: a write on the
             # base — unless the base is an imported module (``np.sort``
             # is a function call on a module, not receiver mutation).
@@ -577,7 +502,7 @@ class _SummaryBuilder(ast.NodeVisitor):
                     )
                 )
             else:
-                resolved, _ = self._resolve_callable(func)
+                resolved = self._resolve_callable(func)
                 if resolved is not None:
                     callees = (resolved,)
         else:
@@ -586,7 +511,7 @@ class _SummaryBuilder(ast.NodeVisitor):
                 init = self.index.find_method(constructs, "__init__")
                 callees = (init.qualname,) if init is not None else ()
             else:
-                resolved, _ = self._resolve_callable(func)
+                resolved = self._resolve_callable(func)
                 if resolved is not None:
                     callees = (resolved,)
 
@@ -603,7 +528,6 @@ class _SummaryBuilder(ast.NodeVisitor):
             ),
             assigned_to=assigned_to,
             constructs=constructs,
-            guarded=self.guard_depth > 0,
         )
         index = len(self.summary.calls)
         self.summary.calls.append(edge)
@@ -659,8 +583,7 @@ def build_summaries(index: ProjectIndex) -> dict[str, FunctionSummary]:
     }
     summaries: dict[str, FunctionSummary] = {}
     # Parents sort before their nested functions (qualname prefix order),
-    # so a child can inherit its ancestors' executor-typed names and
-    # bound-name environment.
+    # so a child can inherit its ancestors' bound-name environment.
     builders: dict[str, _SummaryBuilder] = {}
     for qualname in sorted(index.functions):
         info = index.functions[qualname]
@@ -671,19 +594,15 @@ def build_summaries(index: ProjectIndex) -> dict[str, FunctionSummary]:
             for child in index.functions.values()
             if child.parent == qualname and not isinstance(child.node, ast.Lambda)
         }
-        executor_env: set[str] = set()
         enclosing_bound: set[str] = set()
         ancestor = info.parent
         while ancestor is not None:
             parent_builder = builders.get(ancestor)
             if parent_builder is not None:
-                executor_env.update(parent_builder.executor_names)
                 enclosing_bound.update(parent_builder.summary.bound)
             ancestor_info = index.functions.get(ancestor)
             ancestor = ancestor_info.parent if ancestor_info is not None else None
-        builder = _SummaryBuilder(
-            index, info, summary, nested, lambda_names, executor_env, enclosing_bound
-        )
+        builder = _SummaryBuilder(index, info, summary, nested, lambda_names, enclosing_bound)
         node = info.node
         body = node.body if isinstance(node.body, list) else [node.body]
         for statement in body:

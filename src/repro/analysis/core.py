@@ -10,10 +10,9 @@ suppression where the pattern is intentional.
 Suppression: append ``# lint: ignore[RULE-ID]`` (comma-separated for
 several rules) to the flagged line, optionally followed by
 ``-- justification``.  Suppressions are *rule-scoped only*: a bracketless
-ignore comment suppresses nothing and is itself reported (LS001), a
+ignore comment suppresses nothing and is itself reported (LS001), and a
 scoped suppression whose rule fired nothing on its line is reported as
-unused (LS002, for rules in the running set), and suppressions of the
-interprocedural RC family must carry a justification (LS003).
+unused (LS002, for rules in the running set).
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
 _SUPPRESSION = re.compile(
     r"#\s*lint:\s*ignore"
     r"(?:\[(?P<rules>[A-Za-z0-9_\-,\s]+)\])?"
-    r"(?:\s*--\s*(?P<why>.*))?"
 )
 
 #: The lint-suppression meta-rules.  They are emitted by
@@ -60,14 +58,7 @@ SUPPRESSION_RULES = {
         "suppression names a rule that reported nothing on its line; delete "
         "the stale entry"
     ),
-    "LS003": (
-        "suppressions of the interprocedural race family (RCxxx) must carry "
-        "a `-- justification` explaining why the shared write is ordering-safe"
-    ),
 }
-
-#: Rule-id prefixes whose suppressions require a justification comment.
-_JUSTIFIED_PREFIXES = ("RC",)
 
 
 @dataclass(frozen=True)
@@ -136,8 +127,6 @@ class Suppression:
     col: int
     #: Rule ids in the bracket; empty means a (disallowed) blanket comment.
     rules: tuple[str, ...]
-    #: Free text after ``--`` — the why of the suppression.
-    justification: str
 
 
 def scan_suppressions(lines: Sequence[str], path: str) -> list[Suppression]:
@@ -159,7 +148,6 @@ def scan_suppressions(lines: Sequence[str], path: str) -> list[Suppression]:
                 line=number,
                 col=match.start() + 1,
                 rules=scoped,
-                justification=(match.group("why") or "").strip(),
             )
         )
     return found
@@ -175,12 +163,11 @@ def apply_suppressions(
     """Filter ``findings`` through rule-scoped suppressions.
 
     Returns the surviving findings plus the suppression meta-findings:
-    LS001 for blanket comments (which suppress nothing), LS002 for a
+    LS001 for blanket comments (which suppress nothing) and LS002 for a
     scoped rule id in ``known_rule_ids`` that matched no finding on its
-    line, and LS003 for an RC-family suppression without a justification.
-    ``report_misuse=False`` limits the meta-findings to LS002 — used by
-    the project analyzer, whose files the per-file pass already walked
-    (one LS001/LS003 per comment, not one per analysis layer).
+    line.  ``report_misuse=False`` limits the meta-findings to LS002 —
+    used by the project analyzer, whose files the per-file pass already
+    walked (one LS001 per comment, not one per analysis layer).
     """
     known = set(known_rule_ids)
     kept: list[Finding] = []
@@ -206,24 +193,6 @@ def apply_suppressions(
                     )
                 )
             continue
-        if report_misuse and not suppression.justification:
-            unjustified = [
-                rule
-                for rule in suppression.rules
-                if rule.startswith(_JUSTIFIED_PREFIXES)
-            ]
-            if unjustified:
-                kept.append(
-                    Finding(
-                        rule="LS003",
-                        path=suppression.path,
-                        line=suppression.line,
-                        col=suppression.col,
-                        message=f"suppression of {', '.join(unjustified)} lacks a "
-                        "`-- justification`: say why the shared write is "
-                        "ordering-safe",
-                    )
-                )
         for rule in suppression.rules:
             if rule in known and (suppression.line, rule) not in used:
                 kept.append(

@@ -3,14 +3,18 @@
 ``MapReduceJob.process_safe`` is a *claim*: the process-pool runtime
 trusts it to decide whether a job may be shipped to worker processes.
 This module *proves or refutes* it from the project call graph — the
-analyzer's only process-safety check:
+analyzer's only process-safety check.  Tasks share no memory (each runs
+sequentially in the driver or in its own worker process), so the bug
+class left is a task write that a worker process loses:
 
-* **Driver-state evidence** — a task method (or anything it reaches,
-  via :class:`~repro.analysis.races.RaceAnalysis` taint from ``self``)
-  writes through the job instance.  In a worker process that write
-  lands in a copy and is lost, so the job cannot be process-safe even
-  if every attribute pickles.  Lock-guarded writes count too: the lock
-  fixes ordering, not isolation.
+* **Driver-state evidence** — a task method, or anything it reaches
+  along resolved call edges, writes through the job instance (``self``
+  taint, propagated through receivers, argument bindings and returns)
+  or writes module-global state (a ``global`` rebind, or a mutation
+  whose receiver resolves to a module-level binding).  In a worker
+  process the write lands in a copy and is lost, so the job cannot be
+  process-safe even if every attribute pickles.  An RNG draw through
+  ``self`` counts: it advances generator state the driver never sees.
 * **Capture evidence** — the constructor stores something that cannot
   cross a process boundary: a lambda, a lock/executor/file-handle
   factory, a class defined inside a function, or (recursively) an
@@ -29,6 +33,11 @@ The verdict is compared against the declared ``process_safe`` flag:
   declaration is stale or the analysis is missing a pattern; the
   finding says which job to look at.
 
+Known imprecision (see ``docs/STATIC_ANALYSIS.md``): calls through
+function-valued parameters produce no edge, and taint is
+path-insensitive (a name tainted anywhere in a function is tainted
+everywhere in it).
+
 ``tests/test_job_process_safety.py`` pins these verdicts to the runtime
 pickling meta-test, so the static and dynamic notions of process safety
 cannot drift apart.
@@ -37,12 +46,18 @@ cannot drift apart.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 
-from repro.analysis.callgraph import FunctionSummary, build_summaries
+from repro.analysis.callgraph import (
+    CallEdge,
+    FunctionSummary,
+    WriteSite,
+    bind_arguments,
+    build_summaries,
+)
 from repro.analysis.core import Finding
 from repro.analysis.project import ClassInfo, ProjectIndex, _annotation_text
-from repro.analysis.races import RaceAnalysis, Root, TASK_METHODS
 
 __all__ = [
     "PICKLE_RULES",
@@ -53,8 +68,9 @@ __all__ = [
 
 PICKLE_RULES = {
     "PS003": (
-        "job is declared process_safe but the call graph shows driver-state "
-        "or unpicklable-capture evidence"
+        "job is declared process_safe but the call graph shows a task write "
+        "a worker process would lose (driver-held or module-global state) or "
+        "an unpicklable capture"
     ),
     "PS004": (
         "job is declared driver-state (process_safe = False) but the call "
@@ -69,6 +85,14 @@ _UNPICKLABLE_FACTORIES = frozenset(
 )
 
 _ATTR_RECURSION_DEPTH = 3
+
+#: Methods of a job subclass that execute as tasks.
+_TASK_METHODS = ("map", "combine", "reduce", "reduce_partition")
+
+_JOB_BASE_NAME = "MapReduceJob"
+
+#: How deep return-taint resolution chases ``x = f(...)`` chains.
+_RETURN_DEPTH = 5
 
 
 @dataclass
@@ -173,39 +197,207 @@ def _capture_evidence(
     return evidence
 
 
+def _job_classes(index: ProjectIndex) -> list[str]:
+    """Qualnames of every MapReduce job class visible to the index.
+
+    A class is a job when its project MRO reaches a class named
+    ``MapReduceJob``, or when an *unresolved* base's last component is
+    ``MapReduceJob`` or ends in ``Job`` (so fixture sources behave like
+    the real tree).
+    """
+    jobs: list[str] = []
+    for qualname, info in sorted(index.classes.items()):
+        if info.node.name == _JOB_BASE_NAME:
+            continue
+        mro_names = {entry.node.name for entry in index.mro(qualname)}
+        base_tails = {text.split(".")[-1] for text in info.base_names}
+        if (
+            _JOB_BASE_NAME in mro_names
+            or _JOB_BASE_NAME in base_tails
+            or any(tail.endswith("Job") for tail in base_tails)
+        ):
+            jobs.append(qualname)
+    return jobs
+
+
+class _SelfTaint:
+    """The ``self``-taint walk from task methods over the call graph.
+
+    A name is *tainted* when it may be bound to the job instance or to an
+    object reached through it.  Taint starts at each task method's
+    ``self`` and propagates to a callee's parameters whenever a tainted
+    root is bound to them (receiver, positional or keyword argument),
+    and to a directly-called nested function's free variables.
+    """
+
+    def __init__(self, index: ProjectIndex, summaries: dict[str, FunctionSummary]) -> None:
+        self.index = index
+        self.summaries = summaries
+
+    def _root_tainted(
+        self,
+        summary: FunctionSummary,
+        taint: frozenset[str],
+        root: str,
+        depth: int = 0,
+        visiting: set[tuple[str, str]] | None = None,
+    ) -> bool:
+        """Whether ``root`` may name an object reached from a tainted name."""
+        if depth > _RETURN_DEPTH:
+            return False
+        if visiting is None:
+            visiting = set()
+        key = (summary.qualname, root)
+        if key in visiting:
+            return False
+        visiting.add(key)
+        for terminal in summary.resolve_roots(root):
+            if terminal in taint:
+                return True
+            if terminal.startswith("<ret:"):
+                edge = summary.calls[int(terminal[5:-1])]
+                if self._returns_shared(summary, taint, edge, depth, visiting):
+                    return True
+        return False
+
+    def _returns_shared(
+        self,
+        summary: FunctionSummary,
+        taint: frozenset[str],
+        edge: CallEdge,
+        depth: int,
+        visiting: set[tuple[str, str]],
+    ) -> bool:
+        """Whether a call's return value may be a tainted or global object."""
+        for callee in edge.callees:
+            callee_summary = self.summaries.get(callee)
+            callee_info = self.index.functions.get(callee)
+            if callee_summary is None or callee_info is None:
+                continue
+            if callee_summary.returns_global:
+                return True
+            if not callee_summary.returns:
+                continue
+            method_style = bool(edge.receiver_roots) or edge.constructs is not None
+            bound = bind_arguments(callee_info, edge, method_style=method_style)
+            for name in callee_summary.returns:
+                for root in bound.get(name, ()):
+                    if self._root_tainted(summary, taint, root, depth + 1, visiting):
+                        return True
+        return False
+
+    def reach(self, roots: list[str]) -> dict[str, set[str]]:
+        """Every function reachable from ``roots``, with its tainted names.
+
+        A monotone worklist run to fixpoint; each root starts with
+        ``self`` tainted.
+        """
+        taints: dict[str, set[str]] = {}
+        queue: deque[str] = deque()
+        for root in roots:
+            if root in self.summaries and root not in taints:
+                taints[root] = {"self"}
+                queue.append(root)
+        while queue:
+            qualname = queue.popleft()
+            summary = self.summaries[qualname]
+            taint = frozenset(taints[qualname])
+            for edge in summary.calls:
+                for callee in edge.callees:
+                    callee_summary = self.summaries.get(callee)
+                    callee_info = self.index.functions.get(callee)
+                    if callee_summary is None or callee_info is None:
+                        continue
+                    method_style = (
+                        bool(edge.receiver_roots) or edge.constructs is not None
+                    )
+                    bound = bind_arguments(callee_info, edge, method_style=method_style)
+                    new_taint = {
+                        param
+                        for param, arg_roots in bound.items()
+                        if any(
+                            self._root_tainted(summary, taint, root)
+                            for root in arg_roots
+                        )
+                    }
+                    if callee_info.parent == qualname:
+                        # A directly-called nested function shares the
+                        # caller's bindings through its free variables.
+                        new_taint.update(
+                            free
+                            for free in callee_summary.frees
+                            if self._root_tainted(summary, taint, free)
+                        )
+                    current = taints.get(callee)
+                    if current is None:
+                        taints[callee] = new_taint
+                        queue.append(callee)
+                    elif new_taint - current:
+                        current.update(new_taint)
+                        queue.append(callee)
+        return taints
+
+    def _writes_module_global(self, summary: FunctionSummary, write: WriteSite) -> bool:
+        if write.kind == "global":
+            return True
+        module = self.index.modules.get(summary.module)
+        module_names = module.module_names if module is not None else set()
+        for terminal in summary.resolve_roots(write.root):
+            if terminal.startswith("<ret:"):
+                edge = summary.calls[int(terminal[5:-1])]
+                for callee in edge.callees:
+                    callee_summary = self.summaries.get(callee)
+                    if callee_summary is not None and callee_summary.returns_global:
+                        return True
+                continue
+            if terminal in summary.bound or terminal in summary.frees:
+                continue
+            if terminal in module_names:
+                return True
+        return False
+
+    def lost_writes(self, roots: list[str]) -> list[tuple[str, WriteSite, bool]]:
+        """Writes reachable from ``roots`` that a worker process would lose.
+
+        Each entry is ``(path, write, through_self)``: ``through_self``
+        marks a write through a tainted root, False a module-global one.
+        Rebinding a ``nonlocal`` cell stays inside one task invocation,
+        so it is not a lost write.
+        """
+        found: list[tuple[str, WriteSite, bool]] = []
+        for qualname, names in sorted(self.reach(roots).items()):
+            summary = self.summaries[qualname]
+            taint = frozenset(names)
+            module = self.index.modules.get(summary.module)
+            path = module.path if module is not None else "<unknown>"
+            for write in summary.writes:
+                if write.kind == "nonlocal":
+                    continue
+                if write.root and self._root_tainted(summary, taint, write.root):
+                    found.append((path, write, True))
+                elif self._writes_module_global(summary, write):
+                    found.append((path, write, False))
+        return found
+
+
 def _task_write_evidence(
-    analysis: RaceAnalysis, info: ClassInfo
+    walk: _SelfTaint, info: ClassInfo
 ) -> tuple[list[str], set[str]]:
-    """Driver-state writes reachable from this job's own task methods.
+    """Lost writes reachable from this job's own task methods.
 
     Returns the evidence strings plus the set of ``self`` attribute
     names written (feeds the shared-store pairing).
     """
-    roots = [
-        Root(
-            qualname=info.methods[method],
-            taint=frozenset({"self"}),
-            reason=f"task method {info.node.name}.{method}",
-        )
-        for method in TASK_METHODS
-        if method in info.methods and info.methods[method] in analysis.summaries
-    ]
-    if not roots:
-        return [], set()
+    roots = [info.methods[method] for method in _TASK_METHODS if method in info.methods]
     evidence: list[str] = []
     written_attrs: set[str] = set()
-    for write in analysis.shared_writes(roots, include_guarded=True):
-        if write.rule not in {"RC002", "RC003"}:
-            continue
-        if write.site.kind in {"global", "nonlocal"}:
-            continue
+    for path, write, through_self in walk.lost_writes(roots):
+        scope = "driver-held" if through_self else "module-global"
         evidence.append(
-            f"task code writes driver-held state `{write.site.detail}` at "
-            f"{write.path}:{write.site.line}"
+            f"task code writes {scope} state `{write.detail}` at {path}:{write.line}"
         )
-        detail = write.site.detail
-        if detail.startswith("self."):
-            written_attrs.add(detail.split(".")[1])
+        if through_self and write.detail.startswith("self."):
+            written_attrs.add(write.detail.split(".")[1])
     return evidence, written_attrs
 
 
@@ -221,10 +413,10 @@ def job_pickle_verdicts(
     """
     if summaries is None:
         summaries = build_summaries(index)
-    analysis = RaceAnalysis(index, summaries)
+    walk = _SelfTaint(index, summaries)
     concrete = [
         qualname
-        for qualname in analysis.job_classes()
+        for qualname in _job_classes(index)
         if "map" in index.classes[qualname].methods
     ]
     verdicts: dict[str, PickleVerdict] = {}
@@ -235,7 +427,7 @@ def job_pickle_verdicts(
             class_qualname=qualname,
             declared=_declared_process_safe(index, qualname),
         )
-        task_evidence, written = _task_write_evidence(analysis, info)
+        task_evidence, written = _task_write_evidence(walk, info)
         verdict.evidence.extend(task_evidence)
         verdict.evidence.extend(_capture_evidence(index, qualname))
         written_by_class[qualname] = written

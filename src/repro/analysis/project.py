@@ -5,10 +5,9 @@ syntax, :class:`ProjectIndex` parses *every* module of a package tree and
 resolves names across them: imports (including aliased and relative
 imports, chased through re-exports), classes with their MRO, methods,
 nested functions and lambdas, and the declared types of parameters,
-attributes, and return values.  The interprocedural analyses — the
-RC race detector (:mod:`repro.analysis.races`) and the transitive
-pickle-safety verdicts (:mod:`repro.analysis.pickling`) — are all
-queries against this index plus the per-function summaries of
+attributes, and return values.  The interprocedural analysis — the
+transitive pickle-safety verdicts (:mod:`repro.analysis.pickling`) — is
+a query against this index plus the per-function summaries of
 :mod:`repro.analysis.callgraph`.
 
 The index is *syntactic and annotation-driven*: no code is imported or

@@ -1,27 +1,27 @@
 """Runtime determinism sanitizer: hash what the runtimes actually produce.
 
-The static analyses (:mod:`repro.analysis.races`,
-:mod:`repro.analysis.pickling`) argue that the three runtimes are
-schedule-independent.  This module is the dynamic cross-check: under
+The static pickle-safety verdicts (:mod:`repro.analysis.pickling`) argue
+that a job gives the same result in the driver and in a worker process.
+This module is the dynamic cross-check: under
 ``repro build --sanitize out.json`` the driver hashes
 
 * every job's final output in driver order, and, when the job reduces,
   each partition's input in the order its reducer consumes it (the
   stable ``sort_key`` order, whichever shuffle delivered it), and
-* every DP kernel sub-tree row table (``_run_levels`` output), collected
-  concurrently and canonicalized by sorting,
+* every DP kernel sub-tree row table (``_run_levels`` output),
+  canonicalized by sorting,
 
 into a small JSON report.  Two runs whose reports match produced
-bit-identical data; CI compares local/thread/process builds this way, so
-a scheduling bug the static rules missed still fails the pipeline.
+bit-identical data; CI compares local and process builds (with both
+shuffles) this way, so a divergence the static rules missed still fails
+the pipeline.
 
 Deliberately dependency-free within the repo (stdlib + numpy only): the
 runtime modules import :func:`current` without pulling the analyzer in.
 
-The active sanitizer is a module global guarded by a lock; observation
-methods take the instance lock, so concurrent kernel workers may call
-:meth:`Sanitizer.observe_kernel_rows` directly.  (The race detector
-verifies this file too — the guarded writes are its clean exemplar.)
+The active sanitizer is a module global guarded by a lock, and
+observation methods take the instance lock, so a caller may observe
+from several threads.
 """
 
 from __future__ import annotations
@@ -140,9 +140,8 @@ class Sanitizer:
     def observe_kernel_rows(self, rows: Any) -> None:
         """Hash one kernel sub-tree's row table.
 
-        Called from the DP combine path, possibly concurrently (the
-        thread runtime's map tasks); the digest list is canonicalized by
-        sorting in :meth:`report`, so collection order cannot matter.
+        Called from the DP combine path; the digest list is canonicalized
+        by sorting in :meth:`report`, so collection order cannot matter.
         """
         digest = stable_digest(rows)
         with self._lock:

@@ -190,12 +190,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    cluster = SimulatedCluster(runtime=make_runtime(args.runtime))
     store_path = Path(args.store)
     if store_path.exists():
-        store = ShardedSynopsisStore.load(store_path, cluster=cluster)
+        store = ShardedSynopsisStore.load(store_path)
     else:
-        store = ShardedSynopsisStore(cluster=cluster)
+        store = ShardedSynopsisStore()
     for name, data_path in args.create or []:
         version = store.create(
             name,
@@ -233,7 +232,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print()
     store.save(store_path)
     if args.sanitize:
-        report = store.digest_report(label=f"{args.runtime}:{args.rebuild_mode}")
+        report = store.digest_report(label=args.rebuild_mode)
         Path(args.sanitize).write_text(json.dumps(report, indent=2))
         print(
             f"wrote serving digest report ({len(report['jobs'])} versions) "
@@ -295,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--runtime",
         default="local",
         choices=sorted(RUNTIMES),
-        help="task execution engine: 'local' (sequential, cleanest cost-model "
-        "timings), 'threads' (parallel numpy-heavy tasks), 'process' "
-        "(parallel GIL-bound tasks)",
+        help="task execution engine: 'local' (sequential in this process, "
+        "cleanest cost-model timings) or 'process' (isolated worker "
+        "processes)",
     )
     build.add_argument(
         "--shuffle",
@@ -401,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--out", help="write query results JSON here (default stdout)")
     serve.add_argument("--base-leaves", type=int, default=1024)
     serve.add_argument("--subtree-leaves", type=int, default=1024)
-    serve.add_argument("--runtime", default="local", choices=sorted(RUNTIMES))
     serve.add_argument(
         "--sanitize",
         metavar="REPORT",

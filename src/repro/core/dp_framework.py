@@ -249,7 +249,7 @@ class _BottomUpLayerJob(MapReduceJob):
             leaf_rows = split.meta["child_rows"]
             leaf_values = np.asarray(split.meta["child_values"], dtype=np.float64)
         rows = self.dp.subtree_rows(leaf_rows, leaf_values)
-        self.row_store[(self.layer.index, spec.root)] = rows  # lint: ignore[RC003] -- each split owns a distinct (layer, root) key and dict item assignment is atomic under the GIL; speculative re-runs store identical rows
+        self.row_store[(self.layer.index, spec.root)] = rows
         root_row = rows[1] if len(rows) > 1 else rows[0]
         parent = spec.root // self.parent_leaf_count if not self.layer.is_top else 0
         # The sub-tree average travels with the row: the layer above needs

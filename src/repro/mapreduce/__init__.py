@@ -28,8 +28,7 @@ from repro.mapreduce.hdfs import (
     block_splits,
 )
 from repro.mapreduce.job import MapReduceJob, is_process_safe, stable_partition
-from repro.mapreduce.parallel import ThreadPoolRuntime, ThreadSafeFailureInjector
-from repro.mapreduce.process import ProcessPoolRuntime, ProcessSafeFailureInjector
+from repro.mapreduce.process import ProcessPoolRuntime
 from repro.mapreduce.runtime import FailureInjector, JobResult, LocalRuntime
 from repro.mapreduce.serde import (
     decode_batch,
@@ -73,7 +72,6 @@ __all__ = [
     "MemoryModel",
     "MemoryShuffle",
     "ProcessPoolRuntime",
-    "ProcessSafeFailureInjector",
     "RUNTIMES",
     "SHUFFLE_MODES",
     "ShuffleConfig",
@@ -82,8 +80,6 @@ __all__ = [
     "StageSpan",
     "TaskSpan",
     "TRACE_SCHEMA_VERSION",
-    "ThreadPoolRuntime",
-    "ThreadSafeFailureInjector",
     "Tracer",
     "aligned_splits",
     "block_splits",

@@ -42,7 +42,6 @@ from typing import Any
 from repro.exceptions import MemoryBudgetExceeded
 from repro.mapreduce.hdfs import InputSplit
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.parallel import ThreadPoolRuntime
 from repro.mapreduce.process import ProcessPoolRuntime
 from repro.mapreduce.runtime import JobResult, LocalRuntime
 from repro.mapreduce.shuffle import ShuffleConfig
@@ -65,7 +64,6 @@ __all__ = [
 #: docs/ALGORITHMS.md ("Choosing a runtime") for when each wins.
 RUNTIMES: dict[str, type[LocalRuntime]] = {
     "local": LocalRuntime,
-    "threads": ThreadPoolRuntime,
     "process": ProcessPoolRuntime,
 }
 

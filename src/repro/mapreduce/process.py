@@ -1,11 +1,11 @@
-"""A process-pool runtime: real parallelism for GIL-bound tasks.
+"""A process-pool runtime: tasks run in isolated worker processes.
 
 :class:`ProcessPoolRuntime` executes a job's map (and reduce) tasks on a
-``concurrent.futures.ProcessPoolExecutor``.  Where ``ThreadPoolRuntime``
-only helps numpy-heavy jobs (the GIL is released inside the kernels), a
-process pool also parallelizes the pure-Python stages — the greedy engine
-replays of DGreedyAbs and the traceback walks — which hold the GIL the
-whole time.
+``concurrent.futures.ProcessPoolExecutor``.  Each worker is its own
+interpreter, so tasks share no memory — the stand-in for the paper's
+Hadoop containers, which share only the shuffle — and pure-Python stages
+(the greedy engine replays of DGreedyAbs, the traceback walks) run in
+parallel despite the GIL.
 
 Outputs are byte-identical to
 :class:`~repro.mapreduce.runtime.LocalRuntime`: the same split-order
@@ -18,18 +18,15 @@ process boundary:
   store from their map tasks).  Such jobs declare ``process_safe = False``
   and are executed in-process via the inherited ``LocalRuntime`` hooks —
   correct, just not parallel.  Jobs default to ``process_safe = True``.
-* **Failure injection.**  A shared-RNG injector cannot exist in N
-  processes at once (each fork would replay the same draws, and the draw
-  *order* would depend on scheduling).  :class:`ProcessSafeFailureInjector`
-  instead derives an independent, deterministically-seeded injector per
-  task label, so the failure pattern is reproducible regardless of worker
-  count or completion order.
+* **Failure injection.**  A :class:`~repro.mapreduce.runtime.FailureInjector`
+  derives each task's draws from its label, so it ships to the workers
+  as three plain fields and fails the same attempts as in the driver,
+  regardless of worker count or completion order.
 """
 
 from __future__ import annotations
 
 import os
-import zlib
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any
@@ -47,51 +44,18 @@ from repro.mapreduce.runtime import (
 from repro.mapreduce.shuffle import ShuffleConfig
 from repro.mapreduce.tracing import TaskSpan, Tracer
 
-__all__ = ["ProcessPoolRuntime", "ProcessSafeFailureInjector", "default_process_count"]
+__all__ = ["ProcessPoolRuntime", "default_process_count"]
 
 
 def default_process_count() -> int:
     """Process count for :class:`ProcessPoolRuntime` when none is given.
 
     One worker per available core, clamped to [2, 16]: the floor keeps
-    actual concurrency on single-core CI boxes, and the cap is tighter
-    than the thread pool's because every worker is a full interpreter
-    (fork/spawn cost, per-process numpy state, pickled task traffic).
+    actual concurrency on single-core CI boxes, and the cap bounds the
+    cost of full-interpreter workers (fork/spawn cost, per-process numpy
+    state, pickled task traffic).
     """
     return max(2, min(16, os.cpu_count() or 2))
-
-
-class ProcessSafeFailureInjector(FailureInjector):
-    """Failure injection that is deterministic across process pools.
-
-    Rather than sharing one RNG (impossible across processes without the
-    draw order depending on scheduling), :meth:`for_task` derives a fresh
-    :class:`FailureInjector` per task from ``(seed, crc32(task label))``.
-    Task labels are stable (job name + split/reducer id), so a given run
-    configuration fails exactly the same attempts no matter how many
-    workers execute it — or whether it runs in-process.
-    """
-
-    def for_task(self, task_label: str) -> FailureInjector:
-        task_seed = (self.seed ^ zlib.crc32(task_label.encode())) & 0xFFFFFFFF
-        return FailureInjector(
-            self.probability, seed=task_seed, max_attempts=self.max_attempts
-        )
-
-    def resolve(self, task_label: str) -> FailureInjector:
-        """Per-label derivation — the hook ``run_task_attempts`` calls.
-
-        Because the resolution happens inside the shared task-attempt
-        path, *every* runtime (local, thread, process, and the in-process
-        fallback for driver-state jobs) fails exactly the same attempts
-        when given the same ``(probability, seed)``.
-        """
-        return self.for_task(task_label)
-
-    def attempt_fails(self) -> bool:  # pragma: no cover - guard
-        raise TypeError(
-            "ProcessSafeFailureInjector draws per task; use for_task(label)"
-        )
 
 
 def _run_map_task_in_worker(
@@ -130,7 +94,7 @@ class ProcessPoolRuntime(LocalRuntime):
     def __init__(
         self,
         max_workers: int | None = None,
-        failure_injector: ProcessSafeFailureInjector | None = None,
+        failure_injector: FailureInjector | None = None,
         tracer: Tracer | None = None,
         shuffle: ShuffleConfig | str | None = None,
     ) -> None:
@@ -138,23 +102,8 @@ class ProcessPoolRuntime(LocalRuntime):
             max_workers = default_process_count()
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        if failure_injector is not None and not isinstance(
-            failure_injector, ProcessSafeFailureInjector
-        ):
-            raise TypeError(
-                "ProcessPoolRuntime needs a ProcessSafeFailureInjector: a "
-                "shared-RNG injector's draw order would depend on scheduling"
-            )
         super().__init__(failure_injector, tracer, shuffle)
         self.max_workers = max_workers
-
-    def _task_injector(self, task_label: str) -> FailureInjector | None:
-        # Workers receive a plain per-label injector rather than the
-        # process-safe parent: deriving driver-side keeps the pickled
-        # payload free of the parent's RNG state.
-        if self.failure_injector is None:
-            return None
-        return self.failure_injector.resolve(task_label)
 
     def _execute_map_tasks(
         self, job: MapReduceJob, splits: list[InputSplit]
@@ -163,9 +112,8 @@ class ProcessPoolRuntime(LocalRuntime):
             yield from super()._execute_map_tasks(job, splits)
             return
         work = [
-            (job, split, label, self._task_injector(label))
+            (job, split, f"{job.name}/map-{split.split_id}", self.failure_injector)
             for split in splits
-            for label in [f"{job.name}/map-{split.split_id}"]
         ]
         # Yield (in split order) while the pool context stays open, so the
         # driver can stream completed task outputs into the shuffle.
@@ -178,9 +126,8 @@ class ProcessPoolRuntime(LocalRuntime):
         if not is_process_safe(job):
             return super()._execute_reduce_tasks(job, partitions)
         work = [
-            (job, partition, label, self._task_injector(label))
+            (job, partition, f"{job.name}/reduce-{reducer_id}", self.failure_injector)
             for reducer_id, partition in enumerate(partitions)
-            for label in [f"{job.name}/reduce-{reducer_id}"]
         ]
         with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
             return list(pool.map(_run_reduce_task_in_worker, work))

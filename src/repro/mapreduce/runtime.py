@@ -7,18 +7,20 @@ the measured task times onto a configurable number of slots.  This split —
 real computation, simulated placement — is what lets a laptop reproduce the
 scaling *shapes* of a 9-node Hadoop deployment (see DESIGN.md §3).
 
-:class:`LocalRuntime` is also the template the concurrent runtimes extend:
+:class:`LocalRuntime` is also the template the process runtime extends:
 :meth:`LocalRuntime.run` owns everything order-sensitive (counters, shuffle
 accounting, partitioning, split-order collection, span stitching) and
 delegates only the *execution* of the task batch to
 :meth:`LocalRuntime._execute_map_tasks` /
-:meth:`LocalRuntime._execute_reduce_tasks`.  ``ThreadPoolRuntime`` and
-``ProcessPoolRuntime`` override just those two hooks, which is how all
-three runtimes stay byte-identical on deterministic jobs — and emit
-schema-identical traces (:mod:`repro.mapreduce.tracing`): every task
-attempt is timed inside :func:`run_task_attempts`, which returns a
-picklable :class:`~repro.mapreduce.tracing.TaskSpan` fragment the driver
-assembles into the job's span tree.
+:meth:`LocalRuntime._execute_reduce_tasks`.  ``ProcessPoolRuntime``
+overrides just those two hooks, which is how both runtimes stay
+byte-identical on deterministic jobs — and emit schema-identical traces
+(:mod:`repro.mapreduce.tracing`): every task attempt is timed inside
+:func:`run_task_attempts`, which returns a picklable
+:class:`~repro.mapreduce.tracing.TaskSpan` fragment the driver assembles
+into the job's span tree.  A task runs either sequentially in the driver
+or in an isolated worker process; two tasks never share an address space
+while they run.
 
 The per-task work itself lives in module-level functions
 (:func:`run_map_task`, :func:`run_reduce_task`, :func:`run_task_attempts`)
@@ -35,6 +37,7 @@ records of their task span, never as duplicate tasks.
 from __future__ import annotations
 
 import time
+import zlib
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -69,33 +72,31 @@ __all__ = [
 
 
 class FailureInjector:
-    """Randomly fails task attempts to exercise the retry machinery."""
+    """Randomly fails task attempts to exercise the retry machinery.
+
+    Each task draws from its own generator, seeded with
+    ``(seed ^ crc32(task label)) & 0xFFFFFFFF``.  Task labels are stable
+    (job name plus split or reducer id), so a configuration fails exactly
+    the same attempts on every runtime, whatever the worker count or the
+    order in which tasks complete.
+    """
 
     def __init__(self, probability: float, seed: int = 0, max_attempts: int = 4) -> None:
         if not 0.0 <= probability < 1.0:
             raise ValueError("failure probability must be in [0, 1)")
+        if not isinstance(max_attempts, int) or max_attempts < 1:
+            raise ValueError("max_attempts must be an integer >= 1")
         self.probability = probability
         self.seed = seed
         self.max_attempts = max_attempts
-        self._rng = np.random.default_rng(seed)
 
-    def attempt_fails(self) -> bool:
-        """Decide whether the next task attempt fails."""
-        # Unlocked draw is safe on the sequential runtimes only; the
-        # concurrent runtimes substitute a serialized or per-label injector
-        # (ThreadPoolRuntime auto-wraps, ProcessSafeFailureInjector derives).
-        return bool(self._rng.random() < self.probability)  # lint: ignore[RC003] -- concurrent runtimes never draw from this shared RNG: ThreadPoolRuntime auto-wraps in ThreadSafeFailureInjector and process runs derive per-label injectors via resolve()
-
-    def resolve(self, task_label: str) -> "FailureInjector":
-        """The injector to use for one task.
-
-        The base class shares one RNG across tasks (draws in execution
-        order — fine for sequential runtimes).  Scheduling-independent
-        subclasses (:class:`~repro.mapreduce.process.ProcessSafeFailureInjector`)
-        override this to derive a per-label injector instead, making the
-        failure pattern identical on every runtime.
-        """
-        return self
+    def attempt_failures(self, task_label: str) -> Iterator[bool]:
+        """Whether each successive attempt of the task ``task_label`` fails."""
+        rng = np.random.default_rng(
+            (self.seed ^ zlib.crc32(task_label.encode())) & 0xFFFFFFFF
+        )
+        while True:
+            yield bool(rng.random() < self.probability)
 
 
 @dataclass
@@ -193,14 +194,14 @@ def run_task_attempts(
     retries as child spans.  Its ``wall_seconds`` — the sum over attempts
     — is the task time the cluster model prices, exactly as before.
     """
-    resolved = injector.resolve(task_label) if injector is not None else None
+    failures = injector.attempt_failures(task_label) if injector is not None else None
     span = TaskSpan(name=task_label)
     attempts = 0
-    max_attempts = resolved.max_attempts if resolved else 1
+    max_attempts = injector.max_attempts if injector is not None else 1
     while True:
         attempts += 1
         start = time.perf_counter()
-        failed = resolved is not None and resolved.attempt_fails()
+        failed = failures is not None and next(failures)
         if not failed:
             result = task_callable()
             span.attempts.append(
@@ -247,11 +248,6 @@ class LocalRuntime:
             shuffle = ShuffleConfig(mode=shuffle)
         self.shuffle = shuffle
 
-    def _run_attempts(
-        self, task_callable: Callable[[], Any], task_label: str
-    ) -> tuple[Any, TaskSpan]:
-        return run_task_attempts(task_callable, task_label, self.failure_injector)
-
     def _execute_map_tasks(
         self, job: MapReduceJob, splits: list[InputSplit]
     ) -> Iterator[tuple[MapTaskResult, TaskSpan]]:
@@ -263,9 +259,10 @@ class LocalRuntime:
         be resident at once.
         """
         for split in splits:
-            yield self._run_attempts(
+            yield run_task_attempts(
                 lambda split=split: run_map_task(job, split),
                 f"{job.name}/map-{split.split_id}",
+                self.failure_injector,
             )
 
     def _execute_reduce_tasks(
@@ -273,9 +270,10 @@ class LocalRuntime:
     ) -> list[tuple[list[tuple[Any, Any]], TaskSpan]]:
         """Run every reduce task; return ``(output, span)`` in partition order."""
         return [
-            self._run_attempts(
+            run_task_attempts(
                 lambda partition=partition: run_reduce_task(job, partition),
                 f"{job.name}/reduce-{reducer_id}",
+                self.failure_injector,
             )
             for reducer_id, partition in enumerate(partitions)
         ]

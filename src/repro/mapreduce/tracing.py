@@ -8,13 +8,13 @@ Every job run produces one span tree::
          ├─ stage "shuffle"  (bytes that cross the wire; simulated time)
          └─ stage "reduce"  ─── task "job/reduce-0" ── attempt 1
 
-The span tree is the *observability contract* of the runtime layer: all
-three runtimes (``LocalRuntime``, ``ThreadPoolRuntime``,
-``ProcessPoolRuntime``) emit the same tree for the same job because task
-spans are built inside :func:`repro.mapreduce.runtime.run_task_attempts`
-— the one code path every task attempt goes through — and returned to the
-driver as picklable fragments that :meth:`LocalRuntime.run` stitches into
-stages in split/partition order.  Retried attempts appear as *child
+The span tree is the *observability contract* of the runtime layer: both
+runtimes (``LocalRuntime`` and ``ProcessPoolRuntime``) emit the same tree
+for the same job because task spans are built inside
+:func:`repro.mapreduce.runtime.run_task_attempts` — the one code path
+every task attempt goes through — and returned to the driver as
+picklable fragments that :meth:`LocalRuntime.run` stitches into stages
+in split/partition order.  Retried attempts appear as *child
 spans* of their task, never as duplicate tasks.
 
 Wall time is measured; simulated time is filled in afterwards by
@@ -226,8 +226,8 @@ def canonical_trace(trace: dict[str, Any]) -> dict[str, Any]:
     """The runtime-independent projection of a trace document.
 
     Strips every timing field (wall and simulated seconds differ between
-    runs and runtimes) and sorts each stage's tasks by name (concurrent
-    runtimes may interleave task *execution*; collection order is already
+    runs and runtimes) and sorts each stage's tasks by name (the process
+    runtime may interleave task *execution*; collection order is already
     deterministic, but the comparison must not rely on it).  Two runs of
     the same job on any runtimes are equivalent iff their canonical
     traces are equal — including attempt counts and failure flags.

@@ -11,7 +11,7 @@ Two maintenance tiers, one per thresholding family:
   and re-merge through the same finalize/traceback — **bit-identical**
   to a from-scratch build at the same parameters (``rho = 0``; the
   differential suite in ``tests/test_serving_incremental.py`` proves it
-  across all three runtimes).
+  on both runtimes).
 * :class:`GreedyMaintainer` — a *compositional* greedy tier.  Exact
   incremental DGreedyAbs is impossible (one new average perturbs every
   root coefficient and hence every base sub-tree's incoming error), so

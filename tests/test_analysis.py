@@ -40,7 +40,7 @@ def project_rules_for(tmp_path: Path, source: str) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Process safety: the job fixtures of the retired per-file rules, now
-# answered by the transitive PS003 verdict and the RC003 race check
+# answered by the transitive PS003 verdict
 # ---------------------------------------------------------------------------
 
 
@@ -84,33 +84,31 @@ class TestProcessSafety:
         assert project_rules_for(tmp_path, source) == ["PS003"]
 
     def test_ps002_task_method_writing_self(self, tmp_path):
-        # The write is both a refuted process-safety claim (PS003) and a
-        # double-write under speculative re-execution (RC003).
+        # A worker process would write its own copy of the job: the
+        # process-safety claim is refuted.
         source = """
             class CountingJob(MapReduceJob):
                 def map(self, split):
                     self.seen = split.split_id
                     yield 0, 1
         """
-        assert sorted(project_rules_for(tmp_path, source)) == ["PS003", "RC003"]
+        assert project_rules_for(tmp_path, source) == ["PS003"]
 
     def test_ps002_mutator_call_on_self_attribute(self, tmp_path):
-        # A reduce-only class gets no pickle verdict (it defines no map);
-        # the race check still sees the task-side write.
+        # A reduce-only class gets no pickle verdict: it defines no map,
+        # so it cannot run as a job.
         source = """
             class CollectingJob(MapReduceJob):
                 def reduce(self, key, values):
                     self.results.append(key)
                     yield key, sum(values)
         """
-        assert project_rules_for(tmp_path, source) == ["RC003"]
+        assert project_rules_for(tmp_path, source) == []
 
     def test_ps002_opt_out_via_process_safe_false(self, tmp_path):
         # Jobs that declare process_safe = False run in-process; mutating
         # driver-shared state is their documented contract, so the
-        # declaration is evidenced (no PS003/PS004).  The race layer still
-        # flags the write, as test_declared_unsafe_with_evidence_is_silent
-        # documents.
+        # declaration is evidenced (no PS003/PS004).
         source = """
             class LayerJob(MapReduceJob):
                 process_safe = False
@@ -119,7 +117,7 @@ class TestProcessSafety:
                     self.row_store[split.split_id] = 1
                     yield 0, 1
         """
-        assert project_rules_for(tmp_path, source) == ["RC003"]
+        assert project_rules_for(tmp_path, source) == []
 
     def test_ps002_init_may_assign_self(self, tmp_path):
         source = """
@@ -488,16 +486,9 @@ class TestHarness:
         # of an interprocedural rule must not be flagged stale here.
         source = """
             def well_typed(x: float) -> float:
-                return x + 1.0  # lint: ignore[RC003] -- driver-only path
+                return x + 1.0  # lint: ignore[PS003] -- driver-only path
         """
         assert findings_for(source) == []
-
-    def test_rc_suppression_without_justification(self):
-        source = """
-            def well_typed(x: float) -> float:
-                return x + 1.0  # lint: ignore[RC003]
-        """
-        assert "LS003" in findings_for(source)
 
     def test_suppression_of_other_rule_does_not_silence(self):
         source = """
@@ -560,9 +551,8 @@ class TestHarness:
             "AH001", "AH002", "AH003",
             "DT001", "DT002", "DT003",
             "KC001", "KC002", "KC003", "KC004",
-            "RC001", "RC002", "RC003",
             "PS003", "PS004",
-            "LS001", "LS002", "LS003",
+            "LS001", "LS002",
         }
 
     def test_cli_writes_sarif(self, tmp_path, capsys):

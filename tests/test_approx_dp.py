@@ -10,7 +10,7 @@ Three guarantee families, checked over hypothesis-drawn inputs:
   speed by overspending: ``size <= budget`` always, and the achieved
   error stays within ``(1 + rho) * (E_exact + search resolution)``.
 * **rho = 0 is the exact tier** — bit-identical coefficients, size, and
-  error across every runtime (local / threads / process) and both
+  error on both runtimes (local / process) and both
   shuffle disciplines, because ``approx_params`` falls back to the exact
   grid whenever the coarse step is no coarser than the clamped one.
 """
@@ -120,7 +120,7 @@ class TestRhoZeroAcrossRuntimes:
     """rho=0 must be the exact distributed build on every substrate."""
 
     @pytest.mark.parametrize("shuffle", ["memory", "external"])
-    @pytest.mark.parametrize("runtime_name", ["local", "threads", "process"])
+    @pytest.mark.parametrize("runtime_name", ["local", "process"])
     def test_bit_identical_coefficients(self, runtime_name, shuffle):
         data = np.cumsum(np.random.default_rng(11).normal(0.0, 5.0, 64)) + 100.0
         budget = 8

@@ -174,6 +174,24 @@ class TestServe:
         assert compare_reports(*reports) == []
 
 
+class TestRuntimeOptions:
+    """Builds run on ``local`` or ``process``; ``serve`` has no runtime."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "data.npy", "--budget", "8", "--runtime", "threads"],
+            ["serve", "store.json", "--runtime", "local"],
+        ],
+        ids=" ".join,
+    )
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
 class TestJsonInputs:
     """Every JSON file the CLI reads fails with ``error:``, not a traceback."""
 

@@ -17,7 +17,7 @@ Four families:
   matches the resident path.  The out-of-core smoke is ``slow``-marked.
 * **Cleanup (meta-test alongside test_job_process_safety)** — spill run
   directories vanish on success, on retried task failures, and on job
-  abort, across all three runtimes; no orphans ever remain in the
+  abort, on both runtimes; no orphans ever remain in the
   configured spill dir.
 * **Byte accounting** — on every runtime and shuffle, the driver's
   columnar byte totals (shuffle bytes, counters, stage and task
@@ -40,21 +40,19 @@ from repro.core.dgreedy import d_greedy_abs, d_greedy_rel
 from repro.core.thresholding import build_synopsis
 from repro.exceptions import InvalidInputError, JobFailedError
 from repro.mapreduce import (
+    FailureInjector,
     FileDataset,
     LocalRuntime,
     MapReduceJob,
     ProcessPoolRuntime,
-    ProcessSafeFailureInjector,
     ShuffleConfig,
     SimulatedCluster,
-    ThreadPoolRuntime,
     block_splits,
     decode_batch,
     encode_batch,
     make_runtime,
     record_size,
 )
-from repro.mapreduce.parallel import ThreadSafeFailureInjector
 from repro.mapreduce.runtime import apply_combiner
 from repro.mapreduce.shuffle import ExternalShuffle, MemoryShuffle, make_shuffle
 
@@ -349,7 +347,7 @@ class TestSpillCleanup:
     Mirrors test_job_process_safety's philosophy — the cleanup contract
     is tested against the runtime's actual failure machinery, not a mock:
     success, injected-retry, and job-abort paths all end with the spill
-    dir empty, on all three runtimes.
+    dir empty, on both runtimes.
     """
 
     def run_job(self, runtime, spill_dir):
@@ -362,7 +360,7 @@ class TestSpillCleanup:
         assert spill_dir.is_dir()
         assert list(spill_dir.iterdir()) == []
 
-    @pytest.mark.parametrize("runtime_name", ["local", "threads", "process"])
+    @pytest.mark.parametrize("runtime_name", ["local", "process"])
     def test_success_leaves_no_orphans(self, runtime_name, tmp_path):
         runtime = make_runtime(runtime_name)
         result = self.run_job(runtime, tmp_path)
@@ -372,32 +370,26 @@ class TestSpillCleanup:
     def injected_runtimes(self, probability, seed, max_attempts=4):
         return {
             "local": LocalRuntime(
-                failure_injector=ProcessSafeFailureInjector(
+                failure_injector=FailureInjector(
                     probability, seed=seed, max_attempts=max_attempts
                 )
             ),
-            "threads": ThreadPoolRuntime(
-                max_workers=4,
-                failure_injector=ThreadSafeFailureInjector(
-                    probability, seed=seed, max_attempts=max_attempts
-                ),
-            ),
             "process": ProcessPoolRuntime(
                 max_workers=2,
-                failure_injector=ProcessSafeFailureInjector(
+                failure_injector=FailureInjector(
                     probability, seed=seed, max_attempts=max_attempts
                 ),
             ),
         }
 
-    @pytest.mark.parametrize("runtime_name", ["local", "threads", "process"])
+    @pytest.mark.parametrize("runtime_name", ["local", "process"])
     def test_retried_failures_leave_no_orphans(self, runtime_name, tmp_path):
         runtime = self.injected_runtimes(0.25, seed=3)[runtime_name]
         result = self.run_job(runtime, tmp_path)
         assert result.shuffle_stats["spills"] > 0
         self.assert_empty(tmp_path)
 
-    @pytest.mark.parametrize("runtime_name", ["local", "threads", "process"])
+    @pytest.mark.parametrize("runtime_name", ["local", "process"])
     def test_job_abort_leaves_no_orphans(self, runtime_name, tmp_path):
         # p=0.9 with a single attempt: the job aborts almost immediately,
         # after earlier tasks may already have spilled.
@@ -473,7 +465,7 @@ class TestByteAccountingOracle:
 
     @pytest.mark.parametrize("use_combiner", [False, True])
     @pytest.mark.parametrize("shuffle", ["memory", "external", "external-spill"])
-    @pytest.mark.parametrize("runtime_name", ["local", "threads", "process"])
+    @pytest.mark.parametrize("runtime_name", ["local", "process"])
     def test_driver_bytes_match_scalar_sums(self, runtime_name, shuffle, use_combiner):
         config = {
             "memory": None,

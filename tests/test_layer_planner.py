@@ -9,7 +9,7 @@ Two families of properties:
   pick the predicted-makespan optimum over the model, and resolve
   deterministically; and because a plan only moves work, every plan
   (auto included) must yield bit-identical synopses at ``rho = 0``
-  across all runtimes and shuffle modes.
+  on both runtimes and shuffle modes.
 
 * **Speculation never changes results and never hurts.**  The simulated
   scheduler's backup policy must collapse to the plain FIFO makespan
@@ -20,6 +20,7 @@ Two families of properties:
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -42,8 +43,8 @@ from repro.mapreduce.cluster import (
     price_log,
     speculative_makespan,
 )
-from repro.mapreduce.process import ProcessSafeFailureInjector
-from repro.mapreduce.runtime import LocalRuntime
+from repro.mapreduce import runtime as mapreduce_runtime
+from repro.mapreduce.runtime import FailureInjector, LocalRuntime
 from repro.mapreduce.shuffle import ShuffleConfig
 from repro.mapreduce.cluster import make_runtime
 from repro.wavelet.error_tree import subtree_nodes
@@ -232,7 +233,7 @@ class TestPlanBitIdentity:
         assert dict(solution.synopsis.coefficients) == coefficients
         assert solution.max_error == max_error
 
-    @pytest.mark.parametrize("runtime_name", ["local", "threads", "process"])
+    @pytest.mark.parametrize("runtime_name", ["local", "process"])
     @pytest.mark.parametrize("shuffle_mode", ["memory", "external"])
     def test_auto_plan_runtime_shuffle_matrix(
         self, runtime_name, shuffle_mode, data, reference
@@ -317,9 +318,7 @@ class TestSpeculationEndToEnd:
     def _run(self, probability=0.2):
         rng = np.random.default_rng(5)
         data = rng.uniform(0, 1000, 1 << 12)
-        injector = ProcessSafeFailureInjector(
-            probability=probability, seed=11, max_attempts=10
-        )
+        injector = FailureInjector(probability=probability, seed=11, max_attempts=10)
         cluster = SimulatedCluster(
             self.CONFIG, runtime=LocalRuntime(failure_injector=injector)
         )
@@ -328,8 +327,34 @@ class TestSpeculationEndToEnd:
         )
         return cluster, solution, data
 
-    def test_trace_annotations_and_counters(self):
+    #: Extra run time of one bottom-band map task.  The other DP tasks take
+    #: tens of milliseconds, so this task always runs past the backup
+    #: threshold (1.5x the 75th percentile of completed task times).
+    STRAGGLER_SECONDS = 0.5
+
+    def test_trace_annotations_and_counters(self, monkeypatch):
+        # One task runs far longer than the rest by construction, so a
+        # backup launches whatever the measured times of the others.
+        run_map_task = mapreduce_runtime.run_map_task
+        slowed: list[str] = []
+
+        def straggling_map_task(job, split):
+            if job.stage_label == "dp.bottom_up" and not slowed:
+                slowed.append(f"{job.name}/map-{split.split_id}")
+                time.sleep(self.STRAGGLER_SECONDS)
+            return run_map_task(job, split)
+
+        monkeypatch.setattr(mapreduce_runtime, "run_map_task", straggling_map_task)
         cluster, _, _ = self._run()
+        straggler = [
+            task
+            for job in cluster.log.jobs
+            if job.trace is not None
+            for stage in job.trace.stages
+            for task in stage.tasks
+            if task.name in slowed
+        ]
+        assert straggler and any(a.speculative for a in straggler[0].attempts)
         launched = won = 0
         for job in cluster.log.jobs:
             launched += job.counters.get("speculation.backups_launched", 0)

@@ -372,6 +372,11 @@ class TestFailureInjection:
         with pytest.raises(ValueError):
             FailureInjector(probability=1.5)
 
+    @pytest.mark.parametrize("max_attempts", [0, -3, 2.5, "2", None])
+    def test_injector_validates_max_attempts(self, max_attempts):
+        with pytest.raises(ValueError, match="max_attempts"):
+            FailureInjector(probability=0.5, max_attempts=max_attempts)
+
 
 class TestMakespan:
     def test_empty(self):

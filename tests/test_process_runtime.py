@@ -10,7 +10,6 @@ from repro.mapreduce import (
     LocalRuntime,
     MapReduceJob,
     ProcessPoolRuntime,
-    ProcessSafeFailureInjector,
     SimulatedCluster,
     block_splits,
     make_runtime,
@@ -116,7 +115,7 @@ class TestFailureHandling:
         data = np.arange(64, dtype=float)
         runtime = ProcessPoolRuntime(
             max_workers=2,
-            failure_injector=ProcessSafeFailureInjector(0.3, seed=1, max_attempts=20),
+            failure_injector=FailureInjector(0.3, seed=1, max_attempts=20),
         )
         result = runtime.run(SquareSum(), block_splits(data, 8))
         reference = LocalRuntime().run(SquareSum(), block_splits(data, 8))
@@ -128,7 +127,7 @@ class TestFailureHandling:
         def seconds_with(workers: int):
             runtime = ProcessPoolRuntime(
                 max_workers=workers,
-                failure_injector=ProcessSafeFailureInjector(0.4, seed=5, max_attempts=30),
+                failure_injector=FailureInjector(0.4, seed=5, max_attempts=30),
             )
             return runtime.run(SquareSum(), block_splits(data, 8)).output
 
@@ -141,7 +140,7 @@ class TestFailureHandling:
         data = np.arange(32, dtype=float)
         runtime = ProcessPoolRuntime(
             max_workers=2,
-            failure_injector=ProcessSafeFailureInjector(0.99, seed=2, max_attempts=2),
+            failure_injector=FailureInjector(0.99, seed=2, max_attempts=2),
         )
         with pytest.raises(JobFailedError):
             runtime.run(DriverStateJob(sink), block_splits(data, 4))
@@ -150,25 +149,17 @@ class TestFailureHandling:
         data = np.arange(16, dtype=float)
         runtime = ProcessPoolRuntime(
             max_workers=2,
-            failure_injector=ProcessSafeFailureInjector(0.99, seed=2, max_attempts=2),
+            failure_injector=FailureInjector(0.99, seed=2, max_attempts=2),
         )
         with pytest.raises(JobFailedError):
             runtime.run(SquareSum(), block_splits(data, 4))
 
-    def test_rejects_shared_rng_injector(self):
-        with pytest.raises(TypeError):
-            ProcessPoolRuntime(failure_injector=FailureInjector(0.1))
-
-    def test_shared_draws_are_disabled_on_process_safe_injector(self):
-        with pytest.raises(TypeError):
-            ProcessSafeFailureInjector(0.1).attempt_fails()
-
-    def test_for_task_is_deterministic_per_label(self):
-        injector = ProcessSafeFailureInjector(0.5, seed=11, max_attempts=3)
+    def test_attempt_failures_are_deterministic_per_label(self):
+        injector = FailureInjector(0.5, seed=11, max_attempts=3)
 
         def draws(label: str) -> list[bool]:
-            derived = injector.for_task(label)
-            return [derived.attempt_fails() for _ in range(32)]
+            failures = injector.attempt_failures(label)
+            return [next(failures) for _ in range(32)]
 
         assert draws("job/map-0") == draws("job/map-0")
         assert draws("job/map-0") != draws("job/map-1")  # labels independent
@@ -189,12 +180,11 @@ class TestRuntimeSelection:
         assert 2 <= ProcessPoolRuntime().max_workers <= 16
 
     def test_make_runtime_registry(self):
-        from repro.mapreduce import RUNTIMES, ThreadPoolRuntime
+        from repro.mapreduce import RUNTIMES
 
         assert isinstance(make_runtime("local"), LocalRuntime)
-        assert isinstance(make_runtime("threads"), ThreadPoolRuntime)
         assert isinstance(make_runtime("process"), ProcessPoolRuntime)
-        assert set(RUNTIMES) == {"local", "threads", "process"}
+        assert set(RUNTIMES) == {"local", "process"}
 
     def test_make_runtime_rejects_unknown_name(self):
         with pytest.raises(ValueError, match="unknown runtime"):

@@ -2,14 +2,14 @@
 
 Covers the three interprocedural layers on synthetic packages written to
 ``tmp_path`` — the symbol table (``repro.analysis.project``), the
-call-graph summaries (``repro.analysis.callgraph``), and the race /
-pickle analyses built on them — plus the repo-wide clean gate.
+call-graph summaries (``repro.analysis.callgraph``), and the
+pickle-safety verdicts built on them — plus the repo-wide clean gate.
 
-The concurrency fixtures mirror the real shapes the detector was built
-for: the thread-pool runtime's pool-spawned task closures (one that
-mutates a shared closure cell, one that only returns values), and a job
-whose ``map`` writes ``self`` (the speculation double-write case: a
-backup attempt re-runs the whole task against the same instance).
+Tasks share no memory: each runs sequentially in the driver or in its
+own worker process.  The driver-state fixtures therefore pin the one
+bug class that survives, a task write that a worker process would lose —
+through ``self`` (directly, through a helper, or as an RNG draw), or to
+module-global state.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.analysis import project_findings
 from repro.analysis.callgraph import build_summaries
 from repro.analysis.pickling import job_pickle_verdicts, pickle_findings
 from repro.analysis.project import build_index
-from repro.analysis.races import RaceAnalysis, race_findings
 
 
 def write_package(tmp_path: Path, modules: dict[str, str]) -> Path:
@@ -149,31 +148,6 @@ class TestCallGraph:
         }
         assert "proj.helpers.helper" in callees
 
-    def test_spawned_closure_records_frees(self, tmp_path):
-        index = index_for(
-            tmp_path,
-            {
-                "walk": """
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    def run(items: list) -> list:
-                        results = []
-
-                        def task(item: int) -> int:
-                            return item + 1
-
-                        with ThreadPoolExecutor() as pool:
-                            results = list(pool.map(task, items))
-                        return results
-                """,
-            },
-        )
-        summaries = build_summaries(index)
-        spawns = summaries["proj.walk.run"].spawns
-        assert any(
-            spawn.callee == "proj.walk.run.<locals>.task" for spawn in spawns
-        )
-
     def test_method_call_through_annotation(self, tmp_path):
         index = index_for(
             tmp_path,
@@ -198,12 +172,12 @@ class TestCallGraph:
 
 
 # ---------------------------------------------------------------------------
-# Race detection
+# Driver-state evidence: task writes a worker process would lose
 # ---------------------------------------------------------------------------
 
-#: A job writing self from map: the speculation double-write shape — a
-#: backup attempt re-runs map wholesale against the same live instance.
-SPECULATION_DOUBLE_WRITE = """
+#: A job writing self from map: in a worker process the write lands in
+#: the worker's copy of the job and is lost.
+SELF_WRITING_JOB = """
     class MapReduceJob:
         pass
 
@@ -228,63 +202,15 @@ CLEAN_JOB = """
             yield split.split_id, total
 """
 
-#: The thread-pool runtime's shape (``ThreadPoolRuntime`` hands a
-#: ``map_task`` closure to ``pool.map``), with a spawned closure that
-#: mutates a cell of its enclosing function instead of returning results.
-RACY_LEVEL_WALK = """
-    from concurrent.futures import ThreadPoolExecutor
 
-    def run_levels(leaves: list) -> list:
-        rows: list = []
-
-        def combine(pair) -> None:
-            rows.append(pair[0] + pair[1])
-
-        with ThreadPoolExecutor() as pool:
-            list(pool.map(combine, zip(leaves[::2], leaves[1::2])))
-        return rows
-"""
-
-#: The clean variant, as ``ThreadPoolRuntime`` does it: the spawned
-#: closure returns its result and the driver collects ``pool.map``'s
-#: output in submission order.
-CLEAN_LEVEL_WALK = """
-    from concurrent.futures import ThreadPoolExecutor
-
-    def run_levels(leaves: list) -> list:
-        def combine(pair) -> float:
-            return pair[0] + pair[1]
-
-        with ThreadPoolExecutor() as pool:
-            combined = list(pool.map(combine, zip(leaves[::2], leaves[1::2])))
-        rows = list(combined)
-        return rows
-"""
+def ps003_messages(index) -> list[str]:
+    findings = pickle_findings(index)
+    assert [f.rule for f in findings] == ["PS003"]
+    return [f.message for f in findings]
 
 
-class TestRaceDetection:
-    def test_speculation_double_write_is_rc003(self, tmp_path):
-        index = index_for(tmp_path, {"jobs": SPECULATION_DOUBLE_WRITE})
-        findings = race_findings(index)
-        assert [f.rule for f in findings] == ["RC003"]
-        assert "self.totals" in findings[0].message
-        assert "speculative" in findings[0].message
-
-    def test_clean_job_reports_nothing(self, tmp_path):
-        index = index_for(tmp_path, {"jobs": CLEAN_JOB})
-        assert race_findings(index) == []
-
-    def test_pool_spawned_closure_write_is_rc002(self, tmp_path):
-        index = index_for(tmp_path, {"walk": RACY_LEVEL_WALK})
-        findings = race_findings(index)
-        assert [f.rule for f in findings] == ["RC002"]
-        assert "rows" in findings[0].message
-
-    def test_clean_level_walk_reports_nothing(self, tmp_path):
-        index = index_for(tmp_path, {"walk": CLEAN_LEVEL_WALK})
-        assert race_findings(index) == []
-
-    def test_module_global_write_is_rc001(self, tmp_path):
+class TestDriverStateEvidence:
+    def test_module_global_write_is_ps003(self, tmp_path):
         source = """
             class MapReduceJob:
                 pass
@@ -296,10 +222,32 @@ class TestRaceDetection:
                     COUNTS[split.split_id] = 1
         """
         index = index_for(tmp_path, {"jobs": source})
-        findings = race_findings(index)
-        assert [f.rule for f in findings] == ["RC001"]
+        (message,) = ps003_messages(index)
+        assert "module-global state `COUNTS`" in message
 
-    def test_lock_guarded_write_is_ordering_safe(self, tmp_path):
+    def test_global_rebind_in_a_helper_is_ps003(self, tmp_path):
+        source = """
+            class MapReduceJob:
+                pass
+
+            CALLS = 0
+
+            def count_call() -> None:
+                global CALLS
+                CALLS += 1
+
+            class TallyJob(MapReduceJob):
+                def map(self, split):
+                    count_call()
+                    yield split.split_id, 1.0
+        """
+        index = index_for(tmp_path, {"jobs": source})
+        (message,) = ps003_messages(index)
+        assert "module-global state `CALLS`" in message
+
+    def test_lock_guarded_write_is_ps003(self, tmp_path):
+        # A lock orders writes within one process; it cannot carry a
+        # worker's write back to the driver.
         source = """
             import threading
 
@@ -316,9 +264,10 @@ class TestRaceDetection:
                         self.rows.append(split.split_id)
         """
         index = index_for(tmp_path, {"jobs": source})
-        assert race_findings(index) == []
+        (message,) = ps003_messages(index)
+        assert "driver-held state `self.rows`" in message
 
-    def test_taint_propagates_through_helper_calls(self, tmp_path):
+    def test_helper_call_write_is_ps003(self, tmp_path):
         source = """
             class MapReduceJob:
                 pass
@@ -338,14 +287,14 @@ class TestRaceDetection:
                     self.store.add(float(split.split_id))
         """
         index = index_for(tmp_path, {"jobs": source})
-        findings = race_findings(index)
+        ps003_messages(index)
         # Two sites under the model: the `.add` call itself (`add` is in
         # the mutator-name set) and the append inside the helper — the
         # interprocedural one is the site this fixture exists to pin.
-        assert {f.rule for f in findings} == {"RC003"}
-        assert any("self.rows" in f.message for f in findings)
+        evidence = job_pickle_verdicts(index)["proj.jobs.IndirectJob"].evidence
+        assert any("self.rows" in entry for entry in evidence)
 
-    def test_rng_draw_through_shared_state_is_rc003(self, tmp_path):
+    def test_rng_draw_through_self_is_ps003(self, tmp_path):
         source = """
             import numpy as np
 
@@ -360,19 +309,8 @@ class TestRaceDetection:
                     yield split.split_id, self._rng.random()
         """
         index = index_for(tmp_path, {"jobs": source})
-        findings = race_findings(index)
-        assert [f.rule for f in findings] == ["RC003"]
-        assert "RNG draw" in findings[0].message
-
-    def test_default_roots_include_spawns_and_task_methods(self, tmp_path):
-        index = index_for(
-            tmp_path,
-            {"jobs": SPECULATION_DOUBLE_WRITE, "walk": RACY_LEVEL_WALK},
-        )
-        analysis = RaceAnalysis(index)
-        roots = {root.qualname for root in analysis.default_roots()}
-        assert "proj.jobs.TotalsJob.map" in roots
-        assert "proj.walk.run_levels.<locals>.combine" in roots
+        (message,) = ps003_messages(index)
+        assert "self._rng" in message
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +320,7 @@ class TestRaceDetection:
 
 class TestPickleVerdicts:
     def test_task_self_write_refutes_declared_safety(self, tmp_path):
-        index = index_for(tmp_path, {"jobs": SPECULATION_DOUBLE_WRITE})
+        index = index_for(tmp_path, {"jobs": SELF_WRITING_JOB})
         verdicts = job_pickle_verdicts(index)
         verdict = verdicts["proj.jobs.TotalsJob"]
         assert verdict.declared is True
@@ -430,8 +368,7 @@ class TestPickleVerdicts:
                     self.rows.append(split.split_id)
         """
         index = index_for(tmp_path, {"jobs": source})
-        # Declared unsafe and provably unsafe: nothing to report (the RC
-        # layer still flags the write; pickle-wise the claim is honest).
+        # Declared unsafe and provably unsafe: the claim is honest.
         assert pickle_findings(index) == []
 
     def test_stale_unsafe_declaration_is_ps004(self, tmp_path):
@@ -494,15 +431,15 @@ class TestRepoGate:
         findings = project_findings([str(repo_src)])
         assert findings == [], "\n".join(f.render() for f in findings)
 
-    def test_repo_race_analysis_reaches_the_known_roots(self):
+    def test_repo_dp_layer_job_shows_its_row_store_write(self):
         repo_src = Path(__file__).resolve().parent.parent / "src"
         index = build_index([repo_src])
-        analysis = RaceAnalysis(index)
-        roots = {root.qualname for root in analysis.default_roots()}
-        # The two concurrency families the detector exists for: job task
-        # methods and the thread-pool runtime's task closures.
-        assert "repro.core.dp_framework._BottomUpLayerJob.map" in roots
-        assert any("map_task" in root for root in roots)
+        verdict = job_pickle_verdicts(index)[
+            "repro.core.dp_framework._BottomUpLayerJob"
+        ]
+        # The driver-state write its process_safe = False declaration
+        # stands on: the map task stores rows into the driver's row store.
+        assert any("self.row_store" in entry for entry in verdict.evidence)
 
     def test_repo_pickle_verdicts_cover_all_concrete_jobs(self):
         repo_src = Path(__file__).resolve().parent.parent / "src"

@@ -3,7 +3,7 @@
 Covers three layers: :func:`stable_digest` canonicality (equal values
 hash equal across dict/set order and numpy layout; unequal values hash
 apart), report collection and comparison, and the end-to-end claims —
-the local and thread-pool runtimes produce bit-identical sanitizer
+the local and process-pool runtimes produce bit-identical sanitizer
 reports for the same distributed DP build, and so do the in-memory and
 the external (spilling) shuffle.
 """
@@ -25,8 +25,12 @@ from repro.analysis.sanitizer import (
 from repro.core.dgreedy import d_greedy_abs
 from repro.core.dindirect import d_indirect_haar
 from repro.core.dp_framework import dm_haar_space
-from repro.mapreduce import LocalRuntime, ShuffleConfig, SimulatedCluster
-from repro.mapreduce.parallel import ThreadPoolRuntime
+from repro.mapreduce import (
+    LocalRuntime,
+    ProcessPoolRuntime,
+    ShuffleConfig,
+    SimulatedCluster,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -84,7 +88,7 @@ class TestStableDigest:
 class TestSanitizerReports:
     def test_report_shape_and_comparison(self):
         left = Sanitizer(label="local")
-        right = Sanitizer(label="threads")
+        right = Sanitizer(label="process")
         for active in (left, right):
             active.observe_job_output("job-a", [(0, 1.0)])
             active.observe_partitions("job-a", [[(0, 1.0)], [(1, 2.0)]])
@@ -157,12 +161,12 @@ class TestEndToEnd:
             sanitizer.deactivate()
         return active.report()
 
-    def test_local_and_thread_runtimes_are_bit_identical(self):
+    def test_local_and_process_runtimes_are_bit_identical(self):
         local = self._sanitized_build(LocalRuntime())
-        threads = self._sanitized_build(ThreadPoolRuntime(max_workers=4))
+        process = self._sanitized_build(ProcessPoolRuntime(max_workers=2))
         assert local["jobs"], "the build must have observed MapReduce jobs"
         assert local["kernel_rows"], "the build must have observed kernel rows"
-        assert compare_reports(local, threads) == []
+        assert compare_reports(local, process) == []
 
     @pytest.mark.parametrize(
         "build",

@@ -15,8 +15,8 @@ The serving layer's correctness anchor.  Three families:
   appends growing ``N`` past the current power of two (full-rebuild
   fallback), pinned deterministically.
 * **Runtime matrix** — the DP tier's incremental rebuild is digest-
-  identical across the local / threads / process runtimes (DP jobs are
-  in-process under every runtime, so the cache keys line up).
+  identical on the local and process runtimes (DP jobs are in-process
+  under both runtimes, so the cache keys line up).
 
 Sizes are kept tiny (N <= 256, sub-trees of 4-8 leaves) so the DP tier
 stays fast; the scale story lives in ``benchmarks/bench_serving.py``.
