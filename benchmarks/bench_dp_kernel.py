@@ -2,7 +2,9 @@
 
 Times the windowed ``combine_rows`` kernel against the retained scalar
 reference across row widths (plus batched ``leaf_rows`` against the
-per-leaf loop), and sweeps the approximate DP tier's coarsening knob
+per-leaf loop, and a data sub-tree's bottom level built by
+``data_pair_rows`` against leaf rows plus one ``combine_rows`` per
+pair), and sweeps the approximate DP tier's coarsening knob
 ``rho`` over two end-to-end builds — centralized MinHaarSpace and
 distributed DIndirectHaar — checking the tier's guarantees while it
 measures.  Results go to ``BENCH_dp_kernel.json`` at the repo root — the
@@ -15,14 +17,18 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_dp_kernel.py --check           # CI guard
     PYTHONPATH=src python benchmarks/bench_dp_kernel.py --check --quick   # CI rho gate
 
-``--quick`` shrinks every sweep (two widths, small builds, one rep).
-``--check`` gates: the baseline's ``schema_version`` must match exactly
-(old-format baselines fail loudly instead of comparing apples to
-oranges), each width's *speedup ratio* must stay within a factor of the
-committed baseline — speedups (vectorized vs scalar on the same machine)
-transfer across hosts where absolute seconds do not — and the rho sweep
-must show the acceptance-bar end-to-end speedup at rho=0.1 with every
-guarantee row (error bound, size/budget) holding.
+``--quick`` shrinks every sweep (two widths, small builds, one rep of
+each build; the kernel rows keep the interleaved minimum over
+``--reps``) and fails if the dispatcher is clearly slower than the
+scalar reference or the data-pair level is under
+``QUICK_DATA_PAIR_MIN_SPEEDUP``.  ``--check`` gates: the baseline's
+``schema_version`` must match exactly (old-format baselines fail loudly
+instead of comparing apples to oranges), each width's and the data-pair
+row's *speedup ratio* must stay within a factor of the committed
+baseline — speedups (vectorized vs scalar on the same machine) transfer
+across hosts where absolute seconds do not — and the rho sweep must show
+the acceptance-bar end-to-end speedup at rho=0.1 with every guarantee
+row (error bound, size/budget) holding.
 """
 
 import argparse
@@ -37,6 +43,7 @@ from repro.bench.dp_kernel import (
     DP_KERNEL_WIDTHS,
     DP_RHO_GRID,
     bench_combine_widths,
+    bench_data_pairs,
     bench_leaf_batch,
     bench_rho_build,
     bench_rho_distributed,
@@ -47,13 +54,18 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_dp_kernel.json"
 
 #: Bumped whenever the payload layout changes; --check refuses to compare
 #: against a baseline written under any other version.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: --quick fails only if the dispatcher is slower than the scalar
 #: reference by more than this factor (generous: CI timing noise).
 QUICK_SLOWDOWN_TOLERANCE = 1.5
 
-#: --check fails when a width's speedup drops below baseline/this factor.
+#: --quick fails when the data-pair level is less than this many times
+#: faster than leaf rows plus one combine_rows per pair.
+QUICK_DATA_PAIR_MIN_SPEEDUP = 3.0
+
+#: --check fails when a width's or the data-pair row's speedup drops
+#: below baseline/this factor.
 CHECK_REGRESSION_FACTOR = 2.0
 
 #: --check fails when the rho=0.1 end-to-end build speedup (exact DP vs
@@ -119,7 +131,7 @@ def check_rho_sweeps(results: dict) -> list[str]:
     return failures
 
 
-def check_against_baseline(rows, baseline_path: Path) -> list[str]:
+def check_against_baseline(rows, data_pairs: dict, baseline_path: Path) -> list[str]:
     if not baseline_path.exists():
         return [f"baseline {baseline_path} not found"]
     baseline = json.loads(baseline_path.read_text())
@@ -142,6 +154,14 @@ def check_against_baseline(rows, baseline_path: Path) -> list[str]:
                 f"width {r['width']}: speedup {r['speedup']:.2f}x is more than "
                 f"{CHECK_REGRESSION_FACTOR}x below the baseline {base['speedup']:.2f}x"
             )
+    base = baseline["results"].get("data_pairs")
+    if base is None:
+        failures.append(f"baseline {baseline_path.name} has no data_pairs row")
+    elif data_pairs["speedup"] < base["speedup"] / CHECK_REGRESSION_FACTOR:
+        failures.append(
+            f"data pairs: speedup {data_pairs['speedup']:.2f}x is more than "
+            f"{CHECK_REGRESSION_FACTOR}x below the baseline {base['speedup']:.2f}x"
+        )
     return failures
 
 
@@ -150,8 +170,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="smoke mode: two widths, small builds, one rep, no JSON write; "
-        "fails if the dispatcher is clearly slower than the scalar reference",
+        help="smoke mode: two widths, small builds, no JSON write; fails if "
+        "the dispatcher is clearly slower than the scalar reference or the "
+        f"data-pair level is under {QUICK_DATA_PAIR_MIN_SPEEDUP}x",
     )
     parser.add_argument(
         "--check",
@@ -173,7 +194,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        rows = bench_combine_widths(widths=[16, 128], reps=1, seed=args.seed)
+        rows = bench_combine_widths(widths=[16, 128], reps=args.reps, seed=args.seed)
         rho_build = bench_rho_build(n=512, reps=1, seed=args.seed)
         rho_distributed = bench_rho_distributed(
             n=512, subtree_leaves=128, reps=1, seed=args.seed
@@ -185,17 +206,24 @@ def main(argv=None) -> int:
             n=1024, subtree_leaves=256, reps=1, seed=args.seed
         )
     print_rows(rows)
-    leaf = bench_leaf_batch(reps=1 if args.quick else args.reps, seed=args.seed)
+    leaf = bench_leaf_batch(reps=args.reps, seed=args.seed)
     print(
         f"\nleaf_rows batch ({leaf['leaves']} leaves): "
         f"{leaf['vectorized_seconds']:.6f}s vs {leaf['reference_seconds']:.6f}s "
         f"({leaf['speedup']:.2f}x)"
+    )
+    data_pairs = bench_data_pairs(reps=args.reps, seed=args.seed)
+    print(
+        f"data_pair_rows ({data_pairs['leaves']} leaves): "
+        f"{data_pairs['vectorized_seconds']:.6f}s vs leaf_rows + combine_rows "
+        f"{data_pairs['reference_seconds']:.6f}s ({data_pairs['speedup']:.2f}x)"
     )
     print_rho_sweep("MinHaarSpace rho sweep", rho_build)
     print_rho_sweep("DIndirectHaar rho sweep", rho_distributed)
     results = {
         "combine": rows,
         "leaf_batch": leaf,
+        "data_pairs": data_pairs,
         "rho_build": rho_build,
         "rho_distributed": rho_distributed,
     }
@@ -208,16 +236,26 @@ def main(argv=None) -> int:
                 "than the scalar reference",
                 file=sys.stderr,
             )
-        if slow:
+        pairs_slow = data_pairs["speedup"] < QUICK_DATA_PAIR_MIN_SPEEDUP
+        if pairs_slow:
+            print(
+                f"FAIL: data pairs run only {data_pairs['speedup']:.2f}x faster than "
+                f"leaf rows plus combine_rows (floor {QUICK_DATA_PAIR_MIN_SPEEDUP}x)",
+                file=sys.stderr,
+            )
+        if slow or pairs_slow:
             return 1
-        print("quick smoke OK: dispatcher is not slower than the scalar reference")
+        print(
+            "quick smoke OK: dispatcher is not slower than the scalar reference, "
+            f"data pairs at least {QUICK_DATA_PAIR_MIN_SPEEDUP}x faster"
+        )
 
     if args.check:
         failures = check_rho_sweeps(results)
         # Width-ratio comparison only makes sense against the committed
         # full-grid baseline; the quick grid still gates the rho sweep.
         if not args.quick:
-            failures += check_against_baseline(rows, args.out or DEFAULT_OUT)
+            failures += check_against_baseline(rows, data_pairs, args.out or DEFAULT_OUT)
         if failures:
             for line in failures:
                 print(f"FAIL: {line}", file=sys.stderr)
@@ -225,7 +263,7 @@ def main(argv=None) -> int:
         print(
             f"check OK: rho guarantees hold, rho={RHO_GATE} speedup above "
             f"{RHO_MIN_SPEEDUP}x"
-            + ("" if args.quick else ", no width regressed vs baseline")
+            + ("" if args.quick else ", no width or data-pair row regressed vs baseline")
         )
         return 0
 
@@ -238,7 +276,7 @@ def main(argv=None) -> int:
         "benchmark": "dp_kernel",
         "schema_version": SCHEMA_VERSION,
         "seed": args.seed,
-        "reps": 1 if args.quick else args.reps,
+        "reps": args.reps,
         "quick": args.quick,
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -53,8 +53,10 @@ __all__ = [
     "combine_rows_scalar",
     "combine_rows_restricted",
     "combine_rows_restricted_scalar",
+    "compute_data_subtree_rows",
     "compute_subtree_rows",
     "compute_subtree_rows_restricted",
+    "data_pair_rows",
     "traceback_subtree",
     "finalize_root",
     "min_haar_space",
@@ -79,6 +81,11 @@ SCALAR_FALLBACK_CELLS = 256
 #: total) stay cache-resident; one full-width pass at fine quantizations
 #: is memory-bound and measurably slower (benchmarks/bench_dp_kernel.py).
 _MAX_BLOCK_CELLS = 1 << 15
+
+#: Leaf grid bounds must stay below this magnitude (see :func:`_leaf_domains`).
+_GRID_LIMIT = float(1 << 52)
+
+_EMPTY_DOMAIN = "empty combined domain (quantization too coarse for this epsilon)"
 
 
 def check_dp_params(delta: float, rho: float = 0.0) -> None:
@@ -228,6 +235,55 @@ class DualSolution:
     epsilon: float | None = None
 
 
+def _leaf_domains(
+    values: ArrayLike, epsilon: float, delta: float
+) -> tuple[NDArray[np.float64], NDArray[np.int64], NDArray[np.int64]]:
+    """Grid bounds ``[start, stop]`` of every data leaf's row.
+
+    :func:`leaf_rows` and :func:`data_pair_rows` share this, so both
+    reject the same inputs with the same errors in the same order.  A
+    bound of magnitude ``>= 2**52`` is rejected: there the data's own
+    float64 spacing is about ``delta``, so the grid cannot resolve it (and
+    larger bounds overflow the int64 cast).  Below it every grid index,
+    and every sum of two, is exact in both int64 and float64.
+    """
+    if epsilon < 0:
+        raise InvalidInputError("epsilon must be non-negative")
+    if delta <= 0:
+        raise InvalidInputError("delta must be strictly positive")
+    batch = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        low = np.ceil((batch - epsilon) / delta - 1e-12)
+        high = np.floor((batch + epsilon) / delta + 1e-12)
+    # Written so that a NaN bound counts as out of range too.
+    unresolved = ~((np.abs(low) < _GRID_LIMIT) & (np.abs(high) < _GRID_LIMIT))
+    if unresolved.any():
+        value = float(batch[int(np.argmax(unresolved))])
+        raise InvalidInputError(
+            f"value {value} needs a grid index of magnitude >= 2**52 at "
+            f"quantization {delta} and epsilon {epsilon}; use a coarser delta"
+        )
+    starts = low.astype(np.int64)
+    stops = high.astype(np.int64)
+    infeasible = stops < starts
+    if infeasible.any():
+        value = float(batch[int(np.argmax(infeasible))])
+        raise InfeasibleErrorBound(
+            f"no grid point within ±{epsilon} of {value} at quantization {delta}"
+        )
+    return batch, starts, stops
+
+
+def _leaf_row(value: float, start: int, stop: int, delta: float) -> MRow:
+    grid = np.arange(start, stop + 1, dtype=np.int64)
+    return MRow(
+        start=start,
+        counts=np.zeros(len(grid), dtype=np.int32),
+        errors=np.abs(grid * delta - value),
+        choices=np.full(len(grid), -1, dtype=np.int64),
+    )
+
+
 def leaf_row(value: float, epsilon: float, delta: float) -> MRow:
     """Row of a data leaf: zero cost wherever ``|v - value| <= epsilon``."""
     return leaf_rows([value], epsilon, delta)[0]
@@ -236,38 +292,15 @@ def leaf_row(value: float, epsilon: float, delta: float) -> MRow:
 def leaf_rows(values: ArrayLike, epsilon: float, delta: float) -> list[MRow]:
     """Rows of a whole batch of data leaves (one :func:`leaf_row` each).
 
-    The grid bounds of all rows are computed in one vectorized pass and a
-    single shared index ramp serves every row's error column — the
-    batched form the sub-tree map tasks use, where per-leaf Python setup
-    used to dominate the bottom DP layer.
+    The grid bounds of all rows are computed in one vectorized pass.  The
+    restricted DP starts from these rows; the unrestricted DP builds its
+    bottom level straight from the data (:func:`data_pair_rows`).
     """
-    if epsilon < 0:
-        raise InvalidInputError("epsilon must be non-negative")
-    if delta <= 0:
-        raise InvalidInputError("delta must be strictly positive")
-    batch = np.asarray(values, dtype=np.float64)
-    starts = np.ceil((batch - epsilon) / delta - 1e-12).astype(np.int64)
-    stops = np.floor((batch + epsilon) / delta + 1e-12).astype(np.int64)
-    infeasible = stops < starts
-    if infeasible.any():
-        value = float(batch[int(np.argmax(infeasible))])
-        raise InfeasibleErrorBound(
-            f"no grid point within ±{epsilon} of {value} at quantization {delta}"
-        )
-    widths = stops - starts + 1
-    ramp = np.arange(int(widths.max()) if len(batch) else 0, dtype=np.int64)
-    rows = []
-    for value, start, width in zip(batch.tolist(), starts.tolist(), widths.tolist()):
-        grid = start + ramp[:width]
-        rows.append(
-            MRow(
-                start=start,
-                counts=np.zeros(width, dtype=np.int32),
-                errors=np.abs(grid * delta - value),
-                choices=np.full(width, -1, dtype=np.int64),
-            )
-        )
-    return rows
+    batch, starts, stops = _leaf_domains(values, epsilon, delta)
+    return [
+        _leaf_row(value, start, stop, delta)
+        for value, start, stop in zip(batch.tolist(), starts.tolist(), stops.tolist())
+    ]
 
 
 def _build_row(
@@ -305,9 +338,7 @@ def _combined_domain(left: MRow, right: MRow) -> tuple[int, int]:
     v_start = math.ceil((left.start + right.start) / 2)
     v_stop = math.floor((left.end + right.end) / 2)
     if v_stop < v_start:
-        raise InfeasibleErrorBound(
-            "empty combined domain (quantization too coarse for this epsilon)"
-        )
+        raise InfeasibleErrorBound(_EMPTY_DOMAIN)
     return v_start, v_stop
 
 
@@ -490,6 +521,110 @@ def _combine_kernel_windowed(
     return counts, errors, choices
 
 
+def data_pair_rows(values: ArrayLike, epsilon: float, delta: float) -> list[MRow]:
+    """The bottom combine level of a data sub-tree, straight from its values.
+
+    Row ``i`` is ``combine_rows(leaf_row(values[2i]), leaf_row(values[2i +
+    1]))`` bit for bit, and the same errors surface in the same order, but
+    no leaf row and no ``(v, vl)`` candidate matrix is built.  Leaf rows
+    have zero counts and V-shaped errors ``|g·delta − x|``, which leaves
+    O(1) candidates per incoming value ``v`` of a pair ``(a, b)``:
+
+    * ``v`` inside both leaf domains keeps ``z = 0``: count 0, error
+      ``max(|v·delta − a|, |v·delta − b|)``, choice ``v``.  Every other
+      candidate costs 1 and scores at least ``weight``, which is checked
+      to exceed that error.
+    * any other ``v`` pays 1 for a pairing whose error ``max(|vl·delta −
+      a|, |(2v − vl)·delta − b|)`` is quasi-convex in ``vl`` — in float
+      arithmetic too, since rounding is monotone — and smallest near
+      ``vl* = v + (a − b) / (2·delta)``.  The four grid points from
+      ``floor(vl*) − 1``, clipped to the pairing range, are scored as
+      the scalar kernel scores (``count·weight + error``, first minimum
+      wins).  A minimum with a strictly worse score at each window edge
+      that is not a range edge is, by quasi-convexity, the first minimum
+      over the whole range.
+
+    An entry neither rule settles (near the 2**52 grid limit, or when
+    ``weight`` overflows) is left to the scalar kernel itself.  Pairs go
+    in blocks of at most :data:`_MAX_BLOCK_CELLS` ``(pair, v)`` cells, so
+    scratch memory stays bounded however many values come in.
+    """
+    batch, starts, stops = _leaf_domains(values, epsilon, delta)
+    if len(batch) % 2:
+        raise InvalidInputError("data pairs need an even number of values")
+    lefts, rights = batch[0::2], batch[1::2]
+    left_lo, right_lo = starts[0::2], starts[1::2]
+    left_hi, right_hi = stops[0::2], stops[1::2]
+    # _combined_domain's ceil and floor of half sums, exact in int64.
+    v_starts = (left_lo + right_lo + 1) // 2
+    v_stops = (left_hi + right_hi) // 2
+    if np.any(v_stops < v_starts):
+        raise InfeasibleErrorBound(_EMPTY_DOMAIN)
+    widths = v_stops - v_starts + 1
+    weight = _lexicographic_weight(epsilon, delta)
+    per_block = max(1, _MAX_BLOCK_CELLS // int(widths.max(initial=1)))
+
+    rows: list[MRow] = []
+    for begin in range(0, len(widths), per_block):
+        # Pairs of this block run down axis 0, incoming values along axis 1.
+        pairs = slice(begin, begin + per_block)
+        a, b = lefts[pairs], rights[pairs]
+        la, lb, ra, rb = left_lo[pairs], right_lo[pairs], left_hi[pairs], right_hi[pairs]
+        block_widths = widths[pairs]
+        v = v_starts[pairs, None] + np.arange(int(block_widths.max()), dtype=np.int64)
+        in_row = np.arange(v.shape[1], dtype=np.int64) < block_widths[:, None]
+
+        on_grid = v * delta
+        zero = (v >= np.maximum(la, lb)[:, None]) & (v <= np.minimum(ra, rb)[:, None])
+        counts = (~zero).astype(np.int32)
+        errors = np.maximum(np.abs(on_grid - a[:, None]), np.abs(on_grid - b[:, None]))
+        choices = v.copy()
+        # A z = 0 entry is settled when it beats every paid score (>= weight).
+        settled = ~in_row | (errors < weight)
+
+        # The cells that pay for a coefficient, one candidate window each.
+        pair, column = np.nonzero(in_row & ~zero)
+        pv, pa, pb = v[pair, column], a[pair], b[pair]
+        lo = np.maximum(la[pair], 2 * pv - rb[pair])
+        hi = np.minimum(ra[pair], 2 * pv - lb[pair])
+        # The two grid points around the continuous minimiser and one more
+        # on each side: the first minimum then sits strictly inside the
+        # window whenever float rounding is far below delta.
+        center = np.floor(pv + (pa - pb) / (2.0 * delta)).astype(np.int64)
+        window = center[:, None] + np.arange(-1, 3, dtype=np.int64)
+        vl = np.minimum(np.maximum(window, lo[:, None]), hi[:, None])
+        pair_errors = np.maximum(
+            np.abs(vl * delta - pa[:, None]),
+            np.abs((2 * pv[:, None] - vl) * delta - pb[:, None]),
+        )
+        scores = weight + pair_errors  # count 1: 1 * weight is exact
+        best = np.argmin(scores, axis=1)
+        picked = np.arange(len(best), dtype=np.int64)
+        errors[pair, column] = pair_errors[picked, best]
+        choices[pair, column] = vl[picked, best]
+        settled[pair, column] = ((best > 0) | (vl[:, 0] == lo)) & (
+            (scores[:, -1] > scores[picked, best]) | (vl[:, -1] == hi)
+        )
+
+        for i, j in zip(*np.nonzero(~settled)):
+            left = _leaf_row(float(a[i]), int(la[i]), int(ra[i]), delta)
+            right = _leaf_row(float(b[i]), int(lb[i]), int(rb[i]), delta)
+            cell = int(v[i, j])
+            count, error, choice = _combine_kernel_scalar(left, right, cell, cell, epsilon, delta)
+            counts[i, j], errors[i, j], choices[i, j] = count[0], error[0], choice[0]
+
+        for i, width in enumerate(block_widths.tolist()):
+            rows.append(
+                MRow(
+                    start=int(v[i, 0]),
+                    counts=counts[i, :width],
+                    errors=errors[i, :width],
+                    choices=choices[i, :width],
+                )
+            )
+    return rows
+
+
 def _restricted_candidates(
     left: MRow, right: MRow, z_offset: int
 ) -> tuple[list[tuple[int, int]], list[int], list[int], int, int]:
@@ -592,25 +727,28 @@ def combine_rows_restricted_scalar(
 
 
 def _run_levels(
-    leaf_rows: Sequence[MRow],
+    level: Sequence[MRow],
     node_combine: Callable[[int, MRow, MRow], MRow],
+    rows: list[MRow | None] | None = None,
 ) -> list[MRow | None]:
     """Walk a sub-tree level by level, bottom-up, in ascending node order.
 
     Node ``j`` of a level combines the rows of nodes ``2j`` and ``2j + 1``
-    from the level below (the input leaf rows at the bottom level), so
-    infeasibility deterministically surfaces from the lowest node index
-    of the lowest failing level.
+    from the level below, so infeasibility deterministically surfaces
+    from the lowest node index of the lowest failing level.  ``level`` is
+    the sub-tree's leaf rows, or — when ``rows`` is given — its bottom
+    combine level, already stored in ``rows`` (:func:`data_pair_rows`).
     """
-    m = len(leaf_rows)
-    if not is_power_of_two(m):
-        raise InvalidInputError("leaf count must be a power of two")
-    if m == 1:
-        # Degenerate sub-tree: no internal coefficient nodes.
-        return [leaf_rows[0]]
-    rows: list[MRow | None] = [None] * m
-    level = list(leaf_rows)
-    size = m // 2
+    if rows is None:
+        m = len(level)
+        if not is_power_of_two(m):
+            raise InvalidInputError("leaf count must be a power of two")
+        if m == 1:
+            # Degenerate sub-tree: no internal coefficient nodes.
+            return [level[0]]
+        rows = [None] * m
+    level = list(level)
+    size = len(level) // 2
     while size >= 1:
         level = [
             node_combine(size + i, level[2 * i], level[2 * i + 1]) for i in range(size)
@@ -652,16 +790,42 @@ def compute_subtree_rows(
 ) -> list[MRow | None]:
     """Run the DP bottom-up over a complete sub-tree of ``m`` leaves.
 
-    ``leaf_rows[i]`` is the row of the ``i``-th leaf — a data leaf
-    (:func:`leaf_row`) at the bottom layer, or a lower sub-tree's root row
-    in the distributed framework.  Returns ``rows`` indexed by local node
-    (``rows[0]`` unused, ``rows[1]`` is the local root's M-row).
+    ``leaf_rows[i]`` is the row of the ``i``-th leaf — a lower sub-tree's
+    root row in the distributed framework.  Returns ``rows`` indexed by
+    local node (``rows[0]`` unused, ``rows[1]`` is the local root's
+    M-row).  A sub-tree over data values goes through
+    :func:`compute_data_subtree_rows` instead.
     """
 
     def node_combine(j: int, left: MRow, right: MRow) -> MRow:
         return combine_rows(left, right, epsilon, delta)
 
     return _run_levels(leaf_rows, node_combine)
+
+
+def compute_data_subtree_rows(
+    values: ArrayLike, epsilon: float, delta: float
+) -> list[MRow | None]:
+    """:func:`compute_subtree_rows` over the leaf rows of ``values``.
+
+    Same rows, same errors, without building a leaf row: the bottom level
+    comes from :func:`data_pair_rows`, and the levels above from the same
+    :func:`_run_levels` walk (and sanitizer hook) from level ``m / 4`` up.
+    """
+    batch = np.asarray(values, dtype=np.float64)
+    m = batch.shape[0]
+    if not is_power_of_two(m):
+        raise InvalidInputError("leaf count must be a power of two")
+    if m == 1:
+        return [leaf_rows(batch, epsilon, delta)[0]]
+
+    def node_combine(j: int, left: MRow, right: MRow) -> MRow:
+        return combine_rows(left, right, epsilon, delta)
+
+    pairs = data_pair_rows(batch, epsilon, delta)
+    rows: list[MRow | None] = [None] * (m // 2)
+    rows += pairs
+    return _run_levels(pairs, node_combine, rows)
 
 
 def traceback_subtree(
@@ -810,8 +974,7 @@ def min_haar_space(
     n = int(values.shape[0])
     epsilon_dp, delta = approx_params(epsilon, delta, n, rho)
 
-    leaves = leaf_rows(values, epsilon_dp, delta)
-    rows = compute_subtree_rows(leaves, epsilon_dp, delta)
+    rows = compute_data_subtree_rows(values, epsilon_dp, delta)
     root_row = rows[1] if n > 1 else rows[0]
     assert root_row is not None
     size, error, chosen = finalize_root(root_row, epsilon_dp, delta)

@@ -5,6 +5,9 @@ dispatcher, which routes real rows to the windowed batch kernel) against
 :func:`repro.algos.minhaarspace.combine_rows_scalar` (the retained
 per-``v`` reference) across row widths, plus the batched
 :func:`repro.algos.minhaarspace.leaf_rows` against a per-leaf loop, plus
+one sub-tree's bottom combine level built by
+:func:`repro.algos.minhaarspace.data_pair_rows` against leaf rows and one
+``combine_rows`` per pair (:func:`bench_data_pairs`), plus
 two end-to-end approximate-tier sweeps (:func:`bench_rho_build` /
 :func:`bench_rho_distributed`) that measure whole-build speedups per
 coarsening knob ``rho`` *and* check the tier's proven guarantees on the
@@ -31,6 +34,7 @@ from repro.algos.minhaarspace import (
     MRow,
     combine_rows,
     combine_rows_scalar,
+    data_pair_rows,
     leaf_row,
     leaf_rows,
     min_haar_space,
@@ -40,6 +44,7 @@ __all__ = [
     "DP_KERNEL_WIDTHS",
     "DP_RHO_GRID",
     "bench_combine_widths",
+    "bench_data_pairs",
     "bench_leaf_batch",
     "bench_rho_build",
     "bench_rho_distributed",
@@ -130,6 +135,42 @@ def bench_leaf_batch(
         "vectorized_seconds": batched_seconds,
         "reference_seconds": loop_seconds,
         "speedup": loop_seconds / batched_seconds,
+    }
+
+
+def bench_data_pairs(
+    leaves: int = 256,
+    reps: int = 3,
+    seed: int = 7,
+    epsilon: float = 6.0,
+    delta: float = 0.1,
+) -> dict:
+    """Benchmark one data sub-tree's bottom combine level.
+
+    :func:`data_pair_rows` against what it replaced — :func:`leaf_rows`
+    plus one :func:`combine_rows` per pair — on the e2e benchmark's
+    build-dp input: a rounded random walk at ``epsilon = 6``, ``delta =
+    0.1`` (rows ~120 wide), one 256-leaf sub-tree.  Interleaved, minimum
+    over ``reps``.
+    """
+    rng = np.random.default_rng(seed)
+    values = np.round(100.0 + np.cumsum(rng.normal(0.0, 2.0, leaves)))
+    kernel_seconds = reference_seconds = float("inf")
+    for _ in range(reps):
+        start = time.perf_counter()
+        data_pair_rows(values, epsilon, delta)
+        kernel_seconds = min(kernel_seconds, time.perf_counter() - start)
+        start = time.perf_counter()
+        rows = leaf_rows(values, epsilon, delta)
+        [combine_rows(rows[i], rows[i + 1], epsilon, delta) for i in range(0, leaves, 2)]
+        reference_seconds = min(reference_seconds, time.perf_counter() - start)
+    return {
+        "leaves": leaves,
+        "epsilon": epsilon,
+        "delta": delta,
+        "vectorized_seconds": kernel_seconds,
+        "reference_seconds": reference_seconds,
+        "speedup": reference_seconds / kernel_seconds,
     }
 
 

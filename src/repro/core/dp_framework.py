@@ -10,8 +10,9 @@ rows can be distributed with this driver:
    the top band may be *driver-resident*, running inside the driver's
    finalize step instead of paying a MapReduce round per pass;
 2. one MapReduce job per layer, bottom-up: each map task runs the DP over
-   its sub-tree (leaf rows come from raw data at the bottom layer, from
-   the previous layer's emitted root rows above) and emits
+   its sub-tree (straight from raw data at the bottom layer,
+   :meth:`RowDP.data_rows`; from the previous layer's emitted root rows
+   above, :meth:`RowDP.subtree_rows`) and emits
    ``(parent sub-tree, local root M-row)`` — the ``(j, M[j])`` key-values
    of the paper; the shuffle regroups rows under the next layer's
    sub-trees, preserving locality;
@@ -38,10 +39,9 @@ from numpy.typing import ArrayLike
 from repro.algos.minhaarspace import (
     DualSolution,
     MRow,
-    combine_rows,
+    compute_data_subtree_rows,
     compute_subtree_rows,
     finalize_root,
-    leaf_row,
     leaf_rows,
     traceback_subtree,
 )
@@ -72,24 +72,23 @@ __all__ = [
 class RowDP:
     """Interface of a row-based DP pluggable into the framework.
 
-    ``leaf_values`` lets value-dependent DPs (the restricted variant) see
-    the data under a sub-tree: raw data at the bottom layer, child
-    sub-tree *averages* above — from which the sub-tree's own Haar
-    coefficients are computable locally, so locality is preserved.
+    A bottom-layer sub-tree starts from its raw data (:meth:`data_rows`),
+    so a DP may build its lowest levels however its row structure
+    allows; every sub-tree above starts from the root rows of the
+    sub-trees below it (:meth:`subtree_rows`).  ``leaf_values`` lets
+    value-dependent DPs (the restricted variant) see the data under such
+    a sub-tree: child sub-tree *averages* — from which the sub-tree's own
+    Haar coefficients are computable locally, so locality is preserved.
     """
 
-    def leaf_row(self, value: float) -> MRow:
-        """Row of a raw data value."""
+    def data_rows(self, values: ArrayLike) -> list[MRow | None]:
+        """Run the DP bottom-up over a sub-tree of raw data values."""
         raise NotImplementedError
-
-    def leaf_rows(self, values: ArrayLike) -> list[MRow]:
-        """Rows of a batch of raw data values (override to vectorize)."""
-        return [self.leaf_row(float(value)) for value in values]
 
     def subtree_rows(
         self, leaf_rows: list[MRow], leaf_values: ArrayLike | None = None
     ) -> list[MRow | None]:
-        """Run the DP bottom-up over one sub-tree; return all its rows."""
+        """Run the DP bottom-up over a sub-tree of lower sub-trees' root rows."""
         raise NotImplementedError
 
     def finalize(self, root_row: MRow, overall_average: float = 0.0) -> tuple[int, float, int]:
@@ -110,19 +109,13 @@ class MinHaarSpaceDP(RowDP):
         self.epsilon = float(epsilon)
         self.delta = float(delta)
 
-    def leaf_row(self, value: float) -> MRow:
-        return leaf_row(value, self.epsilon, self.delta)
-
-    def leaf_rows(self, values: ArrayLike) -> list[MRow]:
-        return leaf_rows(values, self.epsilon, self.delta)
+    def data_rows(self, values: ArrayLike) -> list[MRow | None]:
+        return compute_data_subtree_rows(values, self.epsilon, self.delta)
 
     def subtree_rows(
         self, leaf_rows: list[MRow], leaf_values: ArrayLike | None = None
     ) -> list[MRow | None]:
         return compute_subtree_rows(leaf_rows, self.epsilon, self.delta)
-
-    def combine(self, left: MRow, right: MRow) -> MRow:
-        return combine_rows(left, right, self.epsilon, self.delta)
 
     def finalize(self, root_row: MRow, overall_average: float = 0.0) -> tuple[int, float, int]:
         return finalize_root(root_row, self.epsilon, self.delta)
@@ -147,11 +140,8 @@ class MinHaarSpaceRestrictedDP(RowDP):
         self.epsilon = float(epsilon)
         self.delta = float(delta)
 
-    def leaf_row(self, value: float) -> MRow:
-        return leaf_row(value, self.epsilon, self.delta)
-
-    def leaf_rows(self, values: ArrayLike) -> list[MRow]:
-        return leaf_rows(values, self.epsilon, self.delta)
+    def data_rows(self, values: ArrayLike) -> list[MRow | None]:
+        return self.subtree_rows(leaf_rows(values, self.epsilon, self.delta), values)
 
     def subtree_rows(
         self, leaf_rows: list[MRow], leaf_values: ArrayLike | None = None
@@ -244,11 +234,10 @@ class _BottomUpLayerJob(MapReduceJob):
         spec = split.meta["spec"]
         if self.layer.is_bottom:
             leaf_values = np.asarray(split.values, dtype=np.float64)
-            leaf_rows = self.dp.leaf_rows(leaf_values)
+            rows = self.dp.data_rows(leaf_values)
         else:
-            leaf_rows = split.meta["child_rows"]
             leaf_values = np.asarray(split.meta["child_values"], dtype=np.float64)
-        rows = self.dp.subtree_rows(leaf_rows, leaf_values)
+            rows = self.dp.subtree_rows(split.meta["child_rows"], leaf_values)
         self.row_store[(self.layer.index, spec.root)] = rows
         root_row = rows[1] if len(rows) > 1 else rows[0]
         parent = spec.root // self.parent_leaf_count if not self.layer.is_top else 0

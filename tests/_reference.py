@@ -14,6 +14,7 @@ import numpy as np
 # The scalar node-at-a-time greedy engines live in repro.algos.reference
 # (they double as the perf-benchmark baseline); re-exported here so tests
 # have a single place to import oracles from.
+from repro.algos.minhaarspace import combine_rows_scalar, leaf_rows
 from repro.algos.reference import (  # noqa: F401
     ScalarGreedyAbsTree,
     ScalarGreedyRelTree,
@@ -193,6 +194,20 @@ def scalar_best_cut_over_thresholds(
             best_error = error
             best_threshold = threshold
     return best_error, best_threshold
+
+
+def scalar_data_pair_rows(values, epsilon, delta):
+    """A data sub-tree's bottom combine level, one scalar combine per pair.
+
+    The oracle for :func:`repro.algos.minhaarspace.data_pair_rows`:
+    build every leaf row, then run :func:`combine_rows_scalar` on each
+    pair in ascending order.
+    """
+    leaves = leaf_rows(values, epsilon, delta)
+    return [
+        combine_rows_scalar(leaves[i], leaves[i + 1], epsilon, delta)
+        for i in range(0, len(leaves), 2)
+    ]
 
 
 def global_to_local(subtree_root, node):

@@ -8,17 +8,25 @@ Without the boundary, the DP tiers spin (every epsilon doubling widens
 every M-row), the greedy tiers raise a bare ``IndexError`` after writing
 the value into the store buffer, and H-WTopk silently returns a
 synopsis.  The relative-error sanity bound ``S`` must be finite too.
+
+The DP algorithms have one more edge: a finite value whose quantization
+grid index reaches 2**52 cannot be resolved by the grid (and used to
+overflow its int64 cast into a wrong synopsis or a bare numpy error), so
+the DP rejects it with :class:`InvalidInputError` too.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.algos.minhaarspace import leaf_row, min_haar_space
 from repro.cli import main as cli_main
 from repro.core.dgreedy import d_greedy_abs, d_greedy_rel
+from repro.core.dp_framework import dm_haar_space
 from repro.core.thresholding import ALGORITHMS, build_synopsis
 from repro.data.loader import as_finite_series, pad_to_power_of_two
 from repro.exceptions import InvalidInputError
@@ -155,3 +163,53 @@ def test_dgreedy_rejects_hostile_parameters(build, name, value):
     data = np.random.default_rng(0).uniform(0.0, 1000.0, 256)
     with pytest.raises(InvalidInputError):
         build(data, 32, **{name: value})
+
+
+#: Finite values whose DP grid index at the default delta reaches 2**52.
+BEYOND_GRID = [1e18, -1e18, 1e20, 1e300]
+
+DP_ALGORITHMS = [
+    "indirect-haar",
+    "indirect-haar-restricted",
+    "dindirect-haar",
+    "dindirect-haar-restricted",
+]
+
+
+@pytest.mark.parametrize("huge", BEYOND_GRID)
+@pytest.mark.parametrize("algorithm", DP_ALGORITHMS)
+def test_dp_algorithms_reject_values_beyond_the_grid(algorithm, huge):
+    # Spread over the whole range, so that no 4-term conventional synopsis
+    # is exact to round-off and the DP search has to run.
+    data = huge * np.array([1.0, -1.0, 0.5, -0.25, 0.75, 0.125, -0.625, 0.375])
+    with pytest.raises(InvalidInputError, match=r"2\*\*52"):
+        build_synopsis(data, 4, algorithm=algorithm, subtree_leaves=4)
+
+
+@pytest.mark.parametrize("huge", BEYOND_GRID)
+@pytest.mark.parametrize(
+    "solve",
+    [min_haar_space, partial(dm_haar_space, subtree_leaves=4)],
+    ids=["centralized", "distributed"],
+)
+def test_dual_solvers_reject_values_beyond_the_grid(solve, huge):
+    with pytest.raises(InvalidInputError, match=r"2\*\*52"):
+        solve(_with(huge), 6.0, 0.1)
+
+
+@pytest.mark.parametrize("huge", BEYOND_GRID)
+@pytest.mark.parametrize("target", [{"epsilon": 6.0}, {"budget": 4}], ids=["epsilon", "budget"])
+def test_dp_store_publishes_nothing_beyond_the_grid(target, huge):
+    store = ShardedSynopsisStore()
+    with pytest.raises(InvalidInputError, match=r"2\*\*52"):
+        store.create("s", _with(huge), tier="dp", subtree_leaves=4, **target)
+    assert "s" not in store
+    assert store.history() == []
+
+
+def test_grid_limit_is_exclusive_at_2_52():
+    assert leaf_row(2.0**52 - 2, 1.0, 1.0).end == 2**52 - 1
+    with pytest.raises(InvalidInputError, match=r"2\*\*52"):
+        leaf_row(2.0**52 - 1, 1.0, 1.0)
+    with pytest.raises(InvalidInputError, match=r"2\*\*52"):
+        leaf_row(1.0, math.nan, 1.0)
