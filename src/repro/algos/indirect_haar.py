@@ -26,9 +26,28 @@ from repro.exceptions import InfeasibleErrorBound, InvalidInputError
 from repro.wavelet.synopsis import WaveletSynopsis
 from repro.wavelet.transform import haar_transform
 
-__all__ = ["indirect_haar", "indirect_haar_search", "search_resolution"]
+__all__ = [
+    "conventional_is_exact",
+    "indirect_haar",
+    "indirect_haar_search",
+    "search_resolution",
+]
 
 Solver = Callable[[float], DualSolution]
+
+
+def conventional_is_exact(error_low: float) -> bool:
+    """Whether the conventional ``B``-term synopsis reproduces the data.
+
+    It keeps the ``B`` most significant coefficients, so it is exact iff
+    at most ``B`` coefficients are non-zero: iff ``error_low``, the
+    ``(B+1)``-largest coefficient magnitude, is 0.  Both IndirectHaar
+    drivers take their no-DP shortcut on this test.  It needs no float
+    tolerance, where the synopsis's measured error would carry
+    reconstruction round-off (a few ulps on an exact synopsis, and too
+    small to tell from a real error next to a large value).
+    """
+    return error_low == 0.0  # lint: ignore[KC002]
 
 
 def search_resolution(error_high: float, delta: float, n: int, rho: float) -> float:
@@ -185,11 +204,11 @@ def indirect_haar(
     coefficients = haar_transform(values)
 
     conventional = conventional_synopsis(values, budget)
-    error_high = conventional.max_abs_error(values)
-    if error_high == 0.0:  # lint: ignore[KC002]
+    error_low = largest_coefficient(coefficients, budget + 1)
+    if conventional_is_exact(error_low):
         conventional.meta.update({"algorithm": "IndirectHaar", "dp_runs": 0, "rho": rho})
         return conventional
-    error_low = largest_coefficient(coefficients, budget + 1)
+    error_high = conventional.max_abs_error(values)
 
     if solver is None:
         if restricted:

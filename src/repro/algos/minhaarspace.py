@@ -59,6 +59,7 @@ __all__ = [
     "data_pair_rows",
     "traceback_subtree",
     "finalize_root",
+    "max_row_entries",
     "min_haar_space",
     "min_haar_space_restricted",
 ]
@@ -153,20 +154,46 @@ def approx_params(
 
     Every DP solve and the serving DP maintainer call this before they
     build a row, so it is where a non-finite ``epsilon``, ``delta`` or
-    ``rho`` is rejected.
+    ``rho`` is rejected — and parameters so large that the rows'
+    count-then-error score weight (:func:`_lexicographic_weight`)
+    overflows, since the DP cannot rank its candidates without it.
     """
     if not math.isfinite(epsilon):
         raise InvalidInputError(f"epsilon must be finite, got {epsilon}")
     check_dp_params(delta, rho)
-    base = effective_delta(epsilon, delta, n)
-    if rho == 0 or epsilon <= 0:
-        return epsilon, base
-    levels = max(n.bit_length() - 1, 1) + 1
-    coarse = 2.0 * rho * epsilon / levels
-    if coarse <= base:
-        return epsilon, base
-    epsilon_dp = (1.0 + rho) * epsilon
-    return epsilon_dp, effective_delta(epsilon_dp, coarse, n)
+    epsilon_dp, delta_dp = epsilon, effective_delta(epsilon, delta, n)
+    if rho > 0 and epsilon > 0:
+        levels = max(n.bit_length() - 1, 1) + 1
+        coarse = 2.0 * rho * epsilon / levels
+        if coarse > delta_dp:
+            epsilon_dp = (1.0 + rho) * epsilon
+            delta_dp = effective_delta(epsilon_dp, coarse, n)
+    if not math.isfinite(_lexicographic_weight(epsilon_dp, delta_dp)):
+        raise InvalidInputError(
+            f"epsilon {epsilon} and delta {delta} are too large for the DP's "
+            "score weight 2*epsilon + delta + 1 to stay finite"
+        )
+    return epsilon_dp, delta_dp
+
+
+def max_row_entries(epsilon: float, delta: float, n: int, rho: float = 0.0) -> int:
+    """Worst-case entry count of any M-row in an ``(epsilon, delta)`` run.
+
+    A leaf row spans the grid points within ``epsilon`` of its value —
+    at most ``floor(2*epsilon/delta') + 2`` of them (both endpoints can
+    land on the grid) — and combining only shrinks relative width, so
+    this caps every row of the tree.  The parameters are resolved through
+    :func:`approx_params` exactly as the DP resolves them: at ``rho = 0``
+    that is the ``effective_delta`` clamp, and in the approximate regime
+    (``rho > 0``) the bound uses the inflated ``epsilon_dp`` over the
+    *coarsened* ``delta'`` — Eq. 6 with no slack factor, which is what
+    makes the regime's communication savings a checkable prediction
+    rather than a hope.  The Eq. 6 byte budgets
+    (:mod:`repro.observe.bounds`) and the layer planner both use it.
+    """
+    epsilon_dp, delta_dp = approx_params(epsilon, delta, n, rho)
+    return int(math.floor(2.0 * epsilon_dp / delta_dp)) + 2
+
 
 #: Tie-break weight: rows minimize coefficient count first, then achieved
 #: error.  Scores are ``count * weight + error`` with ``weight > epsilon``.

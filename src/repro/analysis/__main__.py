@@ -1,9 +1,9 @@
 """``python -m repro.analysis [paths]`` — the CI lint gate.
 
-Runs the per-file rule pack and the whole-program PS003/PS004
-pickle-safety verdicts over the same paths.  ``--sarif-file`` writes the combined findings as SARIF
-2.1.0 for inline PR annotation; ``--compare-digests`` compares two
-sanitizer reports instead of analyzing anything.
+Runs the per-file rule pack, with suppression hygiene, over the given
+paths.  ``--sarif-file`` writes the findings as SARIF 2.1.0 for inline
+PR annotation; ``--compare-digests`` compares two sanitizer reports
+instead of analyzing anything.
 
 Exit status: 0 when clean (or reports match), 1 when findings were
 reported (or reports differ), 2 on usage or parse errors.
@@ -16,12 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis import (
-    PICKLE_RULES,
-    all_rules,
-    analyze_paths,
-    project_findings,
-)
+from repro.analysis import all_rules, analyze_paths
 from repro.analysis.core import SUPPRESSION_RULES
 from repro.analysis.sanitizer import compare_reports
 from repro.analysis.sarif import write_sarif
@@ -31,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="repro invariant analyzer (determinism, kernel contracts, "
-        "API hygiene, transitive pickle safety)",
+        "API hygiene, suppression hygiene)",
     )
     parser.add_argument(
         "paths",
@@ -62,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _rule_descriptions() -> dict[str, str]:
     described = {rule.rule_id: rule.summary for rule in all_rules()}
-    described.update(PICKLE_RULES)
     described.update(SUPPRESSION_RULES)
     return described
 
@@ -93,14 +87,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.list_rules:
         for rule in rules:
             print(f"{rule.rule_id}  {rule.summary}")
-        for rule_id in sorted(PICKLE_RULES):
-            print(f"{rule_id}  {PICKLE_RULES[rule_id]}")
         for rule_id in sorted(SUPPRESSION_RULES):
             print(f"{rule_id}  {SUPPRESSION_RULES[rule_id]}")
         return 0
     try:
         findings = analyze_paths(args.paths, rules)
-        findings.extend(project_findings(list(args.paths)))
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -157,17 +157,13 @@ def apply_suppressions(
     findings: Iterable[Finding],
     suppressions: Sequence[Suppression],
     known_rule_ids: Iterable[str],
-    *,
-    report_misuse: bool = True,
 ) -> list[Finding]:
     """Filter ``findings`` through rule-scoped suppressions.
 
     Returns the surviving findings plus the suppression meta-findings:
     LS001 for blanket comments (which suppress nothing) and LS002 for a
     scoped rule id in ``known_rule_ids`` that matched no finding on its
-    line.  ``report_misuse=False`` limits the meta-findings to LS002 —
-    used by the project analyzer, whose files the per-file pass already
-    walked (one LS001 per comment, not one per analysis layer).
+    line.
     """
     known = set(known_rule_ids)
     kept: list[Finding] = []
@@ -182,16 +178,15 @@ def apply_suppressions(
             kept.append(finding)
     for suppression in suppressions:
         if not suppression.rules:
-            if report_misuse:
-                kept.append(
-                    Finding(
-                        rule="LS001",
-                        path=suppression.path,
-                        line=suppression.line,
-                        col=suppression.col,
-                        message=SUPPRESSION_RULES["LS001"],
-                    )
+            kept.append(
+                Finding(
+                    rule="LS001",
+                    path=suppression.path,
+                    line=suppression.line,
+                    col=suppression.col,
+                    message=SUPPRESSION_RULES["LS001"],
                 )
+            )
             continue
         for rule in suppression.rules:
             if rule in known and (suppression.line, rule) not in used:

@@ -1,8 +1,9 @@
 """Runtime determinism sanitizer: hash what the runtimes actually produce.
 
-The static pickle-safety verdicts (:mod:`repro.analysis.pickling`) argue
-that a job gives the same result in the driver and in a worker process.
-This module is the dynamic cross-check: under
+A job must give the same result in the driver and in a worker process;
+the tier-1 cross-runtime differential (``tests/test_job_process_safety.py``)
+compares every distributed algorithm's synopsis and trace across the two
+runtimes.  This module also checks the intermediate data: under
 ``repro build --sanitize out.json`` the driver hashes
 
 * every job's final output in driver order, and, when the job reduces,
@@ -13,11 +14,12 @@ This module is the dynamic cross-check: under
 
 into a small JSON report.  Two runs whose reports match produced
 bit-identical data; CI compares local and process builds (with both
-shuffles) this way, so a divergence the static rules missed still fails
-the pipeline.
+shuffles) this way, so a divergence in any shuffle stream or row table
+fails the pipeline even where the final synopsis agrees.
 
-Deliberately dependency-free within the repo (stdlib + numpy only): the
-runtime modules import :func:`current` without pulling the analyzer in.
+Deliberately dependency-free within the repo (stdlib + numpy only), so
+the runtime modules can import :func:`current`; importing it still runs
+``repro/analysis/__init__.py``, which loads the per-file rule modules.
 
 The active sanitizer is a module global guarded by a lock, and
 observation methods take the instance lock, so a caller may observe

@@ -1,10 +1,10 @@
 """SARIF 2.1.0 export for analyzer findings.
 
-``python -m repro.analysis --sarif-file out.sarif`` writes the combined
-per-file + whole-program findings in the Static Analysis Results
-Interchange Format, which GitHub's code-scanning upload turns into
-inline PR annotations.  One run, one tool, one result per finding —
-deliberately minimal, but valid against the 2.1.0 schema.
+``python -m repro.analysis --sarif-file out.sarif`` writes the
+analyzer's findings in the Static Analysis Results Interchange Format,
+which GitHub's code-scanning upload turns into inline PR annotations.
+One run, one tool, one result per finding — deliberately minimal, but
+valid against the 2.1.0 schema.
 """
 
 from __future__ import annotations

@@ -22,7 +22,11 @@ from typing import Any
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.algos.indirect_haar import indirect_haar_search, search_resolution
+from repro.algos.indirect_haar import (
+    conventional_is_exact,
+    indirect_haar_search,
+    search_resolution,
+)
 from repro.core.conventional_dist import con_synopsis
 from repro.algos.minhaarspace import DualSolution, check_dp_params
 from repro.core.dp_framework import dm_haar_space, resolve_layer_plan
@@ -157,10 +161,7 @@ def d_indirect_haar(
 
             error_low = largest_coefficient(haar_transform(values), budget + 1)
 
-    # The evaluation job reconstructs through float arithmetic; treat
-    # round-off-level errors as an exact conventional synopsis.
-    exactness = 1e-9 * (1.0 + float(np.max(np.abs(values))))
-    if error_high <= exactness:
+    if conventional_is_exact(error_low):
         conventional.meta.update(
             {"algorithm": "DIndirectHaar", "dp_runs": 0, "rho": rho}
         )

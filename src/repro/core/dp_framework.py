@@ -49,6 +49,7 @@ from repro.exceptions import InfeasibleErrorBound, InvalidInputError
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.hdfs import InputSplit
 from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.serde import record_size
 from repro.core.partitioning import (
     Layer,
     LayerPlan,
@@ -60,6 +61,7 @@ from repro.wavelet.synopsis import WaveletSynopsis
 from repro.wavelet.transform import is_power_of_two
 
 __all__ = [
+    "LAYER_RECORD_OVERHEAD",
     "RowDP",
     "MinHaarSpaceDP",
     "DPRowCache",
@@ -196,6 +198,13 @@ class DPRowCache:
         """Drop all cached state (the next build recomputes everything)."""
         self.rows.clear()
         self.emits.clear()
+
+
+#: Serde bytes of one bottom-up layer record beyond its M-row payload:
+#: key (parent int) + value-tuple framing + sub-tree root int + mean
+#: float.  The Eq. 6 byte budgets (:mod:`repro.observe.bounds`) and the
+#: layer planner's shuffle cost price each record with it.
+LAYER_RECORD_OVERHEAD = record_size(0, (0, 0.0))
 
 
 class _BottomUpLayerJob(MapReduceJob):

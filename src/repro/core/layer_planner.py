@@ -35,23 +35,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.algos.minhaarspace import MRow, approx_params
+from repro.algos.minhaarspace import MRow, max_row_entries
+from repro.core.dp_framework import LAYER_RECORD_OVERHEAD
 from repro.core.partitioning import LayerPlan
 from repro.exceptions import InvalidInputError
 from repro.mapreduce.cluster import ClusterConfig
-from repro.mapreduce.serde import record_size
 from repro.wavelet.transform import is_power_of_two
 
 __all__ = [
     "WorkModel",
     "plan_layers_auto",
     "predict_plan_seconds",
-    "row_entries",
 ]
-
-#: Serde bytes of one bottom-up layer record beyond its M-row payload —
-#: the same template :mod:`repro.observe.bounds` budgets with.
-_LAYER_RECORD_OVERHEAD = record_size(0, (0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -77,17 +72,6 @@ class WorkModel:
     traceback_node_seconds: float = 2e-6
 
 
-def row_entries(epsilon: float, delta: float, n: int, rho: float = 0.0) -> int:
-    """Worst-case M-row width of an ``(epsilon, delta, rho)`` run.
-
-    ``floor(2 * epsilon_dp / delta_dp) + 2`` on the grid
-    :func:`~repro.algos.minhaarspace.approx_params` resolves — the same
-    ``W_max`` the Eq. 6 byte budgets use.
-    """
-    epsilon_dp, delta_dp = approx_params(epsilon, delta, n, rho)
-    return int(math.floor(2.0 * epsilon_dp / delta_dp)) + 2
-
-
 def _band_seconds(
     subtrees: int,
     items: int,
@@ -108,7 +92,7 @@ def _band_seconds(
         config.job_startup_seconds
         + waves * (config.task_startup_seconds + per_task)
         + subtrees
-        * (_LAYER_RECORD_OVERHEAD + MRow.sized(entries))
+        * (LAYER_RECORD_OVERHEAD + MRow.sized(entries))
         / config.shuffle_bytes_per_second
     )
     traceback = config.job_startup_seconds + waves * (
@@ -144,7 +128,7 @@ def predict_plan_seconds(
     traceback pass per band).
     """
     work = work or WorkModel()
-    entries = row_entries(epsilon, delta, plan.n, rho)
+    entries = max_row_entries(epsilon, delta, plan.n, rho)
     total = 0.0
     for layer in plan.layers():
         items = layer.subtrees[0].leaf_count
@@ -196,7 +180,7 @@ def plan_layers_auto(
     if not is_power_of_two(n):
         raise InvalidInputError(f"N={n} is not a power of two")
     log_n = n.bit_length() - 1
-    entries = row_entries(epsilon, delta, n, rho)
+    entries = max_row_entries(epsilon, delta, n, rho)
 
     # best[r] = (cost, heights-above-this-point bottom-up, driver_top) for
     # tiling the top ``r`` levels, given at least one band sits below

@@ -27,7 +27,7 @@ from repro.mapreduce.hdfs import (
     aligned_splits,
     block_splits,
 )
-from repro.mapreduce.job import MapReduceJob, is_process_safe, stable_partition
+from repro.mapreduce.job import MapReduceJob, stable_partition
 from repro.mapreduce.process import ProcessPoolRuntime
 from repro.mapreduce.runtime import FailureInjector, JobResult, LocalRuntime
 from repro.mapreduce.serde import (
@@ -87,7 +87,6 @@ __all__ = [
     "decode_batch",
     "encode_batch",
     "estimate_size",
-    "is_process_safe",
     "job_emitted_bytes",
     "make_runtime",
     "make_shuffle",

@@ -23,7 +23,7 @@ from typing import Any, ClassVar
 
 from repro.mapreduce.hdfs import InputSplit
 
-__all__ = ["MapReduceJob", "is_process_safe", "reduce_order", "stable_partition"]
+__all__ = ["MapReduceJob", "reduce_order", "stable_partition"]
 
 
 def stable_partition(key: Any, num_reducers: int) -> int:
@@ -51,8 +51,9 @@ class MapReduceJob:
     #: module level, with no driver-side shared state read or written by
     #: its task methods.  Jobs that do share driver state (the layered DP
     #: jobs) declare ``process_safe = False`` and run in-process.  The
-    #: process runtime reads this flag; the analyzer's PS003/PS004
-    #: verdicts check it against the call graph.
+    #: process runtime reads this flag; the cross-runtime differential in
+    #: ``tests/test_job_process_safety.py`` checks it by running every
+    #: distributed algorithm on both runtimes.
     process_safe: ClassVar[bool] = True
 
     #: Algorithm-stage label for traces, e.g. ``"dgreedy.histograms"`` —
@@ -103,16 +104,6 @@ class MapReduceJob:
                 values.append(records[index][1])
                 index += 1
             yield from self.reduce(key, values)
-
-
-def is_process_safe(job: MapReduceJob) -> bool:
-    """Whether ``job`` may execute on a worker process.
-
-    The single source of truth shared by the process runtime's dispatch
-    and the meta-tests: reads :attr:`MapReduceJob.process_safe`, which
-    every job inherits as ``True`` and driver-state-sharing jobs override.
-    """
-    return bool(job.process_safe)
 
 
 def reduce_order(

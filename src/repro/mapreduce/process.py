@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
 from repro.mapreduce.hdfs import InputSplit
-from repro.mapreduce.job import MapReduceJob, is_process_safe
+from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import (
     FailureInjector,
     LocalRuntime,
@@ -108,7 +108,7 @@ class ProcessPoolRuntime(LocalRuntime):
     def _execute_map_tasks(
         self, job: MapReduceJob, splits: list[InputSplit]
     ) -> Iterator[tuple[MapTaskResult, TaskSpan]]:
-        if not is_process_safe(job):
+        if not job.process_safe:
             yield from super()._execute_map_tasks(job, splits)
             return
         work = [
@@ -123,7 +123,7 @@ class ProcessPoolRuntime(LocalRuntime):
     def _execute_reduce_tasks(
         self, job: MapReduceJob, partitions: list[list[tuple[Any, Any]]]
     ) -> list[tuple[list[tuple[Any, Any]], TaskSpan]]:
-        if not is_process_safe(job):
+        if not job.process_safe:
             return super()._execute_reduce_tasks(job, partitions)
         work = [
             (job, partition, f"{job.name}/reduce-{reducer_id}", self.failure_injector)

@@ -9,6 +9,7 @@ tables.  ``python -m repro.observe trace.json`` summarizes a trace
 written by the CLI's ``--trace`` flag.
 """
 
+from repro.algos.minhaarspace import max_row_entries
 from repro.observe.bounds import (
     BoundCheck,
     LayerBound,
@@ -16,7 +17,6 @@ from repro.observe.bounds import (
     check_dmhaarspace_trace,
     dgreedy_histogram_bound,
     dmhaarspace_layer_bounds,
-    max_row_entries,
 )
 from repro.observe.report import render_trace, stage_rows, trace_summary
 

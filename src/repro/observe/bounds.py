@@ -67,7 +67,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.algos.minhaarspace import MRow, approx_params
+from repro.algos.minhaarspace import MRow, max_row_entries
+from repro.core.dp_framework import LAYER_RECORD_OVERHEAD
 from repro.core.partitioning import LayerPlan, parse_layer_plan, root_base_partition
 from repro.exceptions import InvalidInputError
 from repro.mapreduce.serde import record_size
@@ -80,31 +81,7 @@ __all__ = [
     "check_dmhaarspace_trace",
     "dgreedy_histogram_bound",
     "dmhaarspace_layer_bounds",
-    "max_row_entries",
 ]
-
-#: Serde bytes of one bottom-up layer record beyond its M-row payload:
-#: key (parent int) + value-tuple framing + sub-tree root int + mean float.
-_LAYER_RECORD_OVERHEAD = record_size(0, (0, 0.0))
-
-
-def max_row_entries(epsilon: float, delta: float, n: int, rho: float = 0.0) -> int:
-    """Worst-case entry count of any M-row in an ``(epsilon, delta)`` run.
-
-    A leaf row spans the grid points within ``epsilon`` of its value —
-    at most ``floor(2*epsilon/delta') + 2`` of them (both endpoints can
-    land on the grid) — and combining only shrinks relative width, so
-    this caps every row of the tree.  The parameters are resolved through
-    :func:`~repro.algos.minhaarspace.approx_params` exactly as the DP
-    resolves them: at ``rho = 0`` that is the ``effective_delta`` clamp,
-    and in the approximate regime (``rho > 0``) the bound uses the
-    inflated ``epsilon_dp`` over the *coarsened* ``delta'`` — Eq. 6 with
-    no slack factor, which is what makes the regime's communication
-    savings a checkable prediction rather than a hope.
-    """
-    epsilon_dp, clamped = approx_params(epsilon, delta, n, rho)
-    return int(math.floor(2.0 * epsilon_dp / clamped)) + 2
-
 
 @dataclass(frozen=True)
 class LayerBound:
@@ -147,8 +124,8 @@ def dmhaarspace_layer_bounds(
     elif plan.n != n:
         raise InvalidInputError(f"layer plan is for N={plan.n}, not N={n}")
     entries = max_row_entries(epsilon, delta, n, rho)
-    per_record_bound = _LAYER_RECORD_OVERHEAD + MRow.sized(entries)
-    per_record_floor = _LAYER_RECORD_OVERHEAD + MRow.sized(1)
+    per_record_bound = LAYER_RECORD_OVERHEAD + MRow.sized(entries)
+    per_record_floor = LAYER_RECORD_OVERHEAD + MRow.sized(1)
     bounds = []
     for layer in plan.layers():
         if not plan.is_distributed(layer.index):

@@ -2,14 +2,11 @@
 
 Every rule family is exercised against inline source fixtures: one
 snippet that must trigger the rule and one near-miss that must stay
-clean.  Two fixtures replay real incidents from this repo's history:
-
-* the ``_AverageJob``-defined-inside-a-function bug (an unpicklable job
-  crashed the process-pool runtime) — PS003, through the whole-program
-  layer;
-* the ``id()``-keyed probe map in the DIndirectHaar driver (an object
-  identity used as a dict key, making replays allocation-dependent) —
-  DT003.
+clean.  One fixture replays a real incident from this repo's history:
+the ``id()``-keyed probe map in the DIndirectHaar driver (an object
+identity used as a dict key, making replays allocation-dependent) —
+DT003.  Process safety is checked by running every job on both runtimes
+(``tests/test_job_process_safety.py``), not by a rule.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import all_rules, analyze_paths, analyze_source, project_findings
+from repro.analysis import all_rules, analyze_paths, analyze_source
 from repro.analysis.__main__ import main as analysis_main
 
 
@@ -27,108 +24,6 @@ def findings_for(source: str, path: str = "src/repro/algos/fixture.py") -> list[
     """Rule ids reported for ``source`` placed at ``path``."""
     found = analyze_source(textwrap.dedent(source), path, all_rules())
     return [finding.rule for finding in found]
-
-
-def project_rules_for(tmp_path: Path, source: str) -> list[str]:
-    """Whole-program rule ids for ``source`` as module ``proj.jobs``."""
-    package = tmp_path / "proj"
-    package.mkdir()
-    (package / "__init__.py").write_text("")
-    (package / "jobs.py").write_text(textwrap.dedent(source))
-    return [finding.rule for finding in project_findings([tmp_path])]
-
-
-# ---------------------------------------------------------------------------
-# Process safety: the job fixtures of the retired per-file rules, now
-# answered by the transitive PS003 verdict
-# ---------------------------------------------------------------------------
-
-
-class TestProcessSafety:
-    def test_ps001_average_job_closure_regression(self, tmp_path):
-        # The original _AverageJob was defined inside _distributed_greedy;
-        # pickling it for the process pool failed at runtime.
-        source = """
-            class MapReduceJob:
-                pass
-
-            def _distributed_greedy(data):
-                class _AverageJob(MapReduceJob):
-                    def map(self, split):
-                        yield split.split_id, 0.0
-                return _AverageJob()
-        """
-        assert project_rules_for(tmp_path, source) == ["PS003"]
-
-    def test_ps001_module_level_job_is_clean(self, tmp_path):
-        source = """
-            class MapReduceJob:
-                pass
-
-            class _AverageJob(MapReduceJob):
-                def map(self, split):
-                    yield split.split_id, 0.0
-        """
-        assert project_rules_for(tmp_path, source) == []
-
-    def test_ps001_found_inside_try_blocks(self, tmp_path):
-        source = """
-            try:
-                def factory():
-                    class InnerJob(MapReduceJob):
-                        def map(self, split):
-                            yield split.split_id, 0.0
-            except ImportError:
-                pass
-        """
-        assert project_rules_for(tmp_path, source) == ["PS003"]
-
-    def test_ps002_task_method_writing_self(self, tmp_path):
-        # A worker process would write its own copy of the job: the
-        # process-safety claim is refuted.
-        source = """
-            class CountingJob(MapReduceJob):
-                def map(self, split):
-                    self.seen = split.split_id
-                    yield 0, 1
-        """
-        assert project_rules_for(tmp_path, source) == ["PS003"]
-
-    def test_ps002_mutator_call_on_self_attribute(self, tmp_path):
-        # A reduce-only class gets no pickle verdict: it defines no map,
-        # so it cannot run as a job.
-        source = """
-            class CollectingJob(MapReduceJob):
-                def reduce(self, key, values):
-                    self.results.append(key)
-                    yield key, sum(values)
-        """
-        assert project_rules_for(tmp_path, source) == []
-
-    def test_ps002_opt_out_via_process_safe_false(self, tmp_path):
-        # Jobs that declare process_safe = False run in-process; mutating
-        # driver-shared state is their documented contract, so the
-        # declaration is evidenced (no PS003/PS004).
-        source = """
-            class LayerJob(MapReduceJob):
-                process_safe = False
-
-                def map(self, split):
-                    self.row_store[split.split_id] = 1
-                    yield 0, 1
-        """
-        assert project_rules_for(tmp_path, source) == []
-
-    def test_ps002_init_may_assign_self(self, tmp_path):
-        source = """
-            class ConfiguredJob(MapReduceJob):
-                def __init__(self, n):
-                    self.n = n
-
-                def map(self, split):
-                    yield self.n, 1
-        """
-        assert project_rules_for(tmp_path, source) == []
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +377,11 @@ class TestHarness:
         assert findings_for(source) == ["LS002"]
 
     def test_unknown_rule_id_is_not_reported_unused(self):
-        # Per-file passes only know their own running set; a suppression
-        # of an interprocedural rule must not be flagged stale here.
+        # Stale-suppression checks only cover the rules that ran; an id
+        # outside the running set is left alone.
         source = """
             def well_typed(x: float) -> float:
-                return x + 1.0  # lint: ignore[PS003] -- driver-only path
+                return x + 1.0  # lint: ignore[ZZ999] -- never a rule
         """
         assert findings_for(source) == []
 
@@ -551,7 +446,6 @@ class TestHarness:
             "AH001", "AH002", "AH003",
             "DT001", "DT002", "DT003",
             "KC001", "KC002", "KC003", "KC004",
-            "PS003", "PS004",
             "LS001", "LS002",
         }
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.algos.indirect_haar import indirect_haar
 from repro.core.dindirect import d_indirect_haar
+from repro.core.thresholding import build_synopsis
 from repro.exceptions import InvalidInputError
 from repro.mapreduce import SimulatedCluster
 from repro.wavelet.error_tree import incoming_value
@@ -96,6 +97,36 @@ class TestDIndirectHaarEquivalence:
         synopsis = d_indirect_haar(data, 64, delta=1.0, subtree_leaves=16)
         assert synopsis.meta["dp_runs"] == 0
         assert synopsis.max_abs_error(data) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "data, budget, delta, dp_runs",
+        [
+            # Not exact: the conventional synopsis misses by 3.5, which is
+            # within 1e-9 of the series' 1e12 scale.
+            ([3, 5, 10, 8, 1e12, 2, 10, 14], 4, 1.0, 3),
+            # Exact: seven non-zero coefficients within B = 7, although
+            # the reconstruction measures a 1.1e-16 error.
+            ([0.6, 0.3, 0, 0, 0.8, 0.9, 0.6, 0.7], 7, 0.01, 0),
+        ],
+        ids=["large-value", "round-off"],
+    )
+    def test_drivers_agree_on_an_exact_conventional_synopsis(
+        self, data, budget, delta, dp_runs
+    ):
+        values = np.asarray(data, dtype=np.float64)
+        plain, restricted, d_plain, d_restricted = (
+            build_synopsis(values, budget, name, delta=delta, subtree_leaves=4)
+            for name in (
+                "indirect-haar",
+                "indirect-haar-restricted",
+                "dindirect-haar",
+                "dindirect-haar-restricted",
+            )
+        )
+        assert d_plain.same_coefficients(plain)
+        assert d_restricted.same_coefficients(restricted)
+        for synopsis in (plain, restricted, d_plain, d_restricted):
+            assert synopsis.meta["dp_runs"] == dp_runs
 
     def test_multiple_jobs_run(self):
         # Bounds (CON + eval + lower) plus the DP probes (Section 4:

@@ -179,8 +179,9 @@ DP_ALGORITHMS = [
 @pytest.mark.parametrize("huge", BEYOND_GRID)
 @pytest.mark.parametrize("algorithm", DP_ALGORITHMS)
 def test_dp_algorithms_reject_values_beyond_the_grid(algorithm, huge):
-    # Spread over the whole range, so that no 4-term conventional synopsis
-    # is exact to round-off and the DP search has to run.
+    # Spread over the whole range, so that more than 4 coefficients are
+    # non-zero, the conventional synopsis is not exact and the DP search
+    # has to run.
     data = huge * np.array([1.0, -1.0, 0.5, -0.25, 0.75, 0.125, -0.625, 0.375])
     with pytest.raises(InvalidInputError, match=r"2\*\*52"):
         build_synopsis(data, 4, algorithm=algorithm, subtree_leaves=4)
@@ -203,6 +204,33 @@ def test_dp_store_publishes_nothing_beyond_the_grid(target, huge):
     store = ShardedSynopsisStore()
     with pytest.raises(InvalidInputError, match=r"2\*\*52"):
         store.create("s", _with(huge), tier="dp", subtree_leaves=4, **target)
+    assert "s" not in store
+    assert store.history() == []
+
+
+#: A series and an (epsilon, delta) on its grid whose DP score weight
+#: 2*epsilon + delta + 1 overflows to inf: the DP could not rank its
+#: candidates by count first, then error.
+OVERFLOWING_WEIGHT = (np.array([-8e307, 8e307, 1e307, -3e307]), 9e307, 1e307)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [min_haar_space, partial(dm_haar_space, subtree_leaves=2)],
+    ids=["centralized", "distributed"],
+)
+def test_dual_solvers_reject_an_overflowing_weight(solve):
+    with pytest.raises(InvalidInputError, match="score weight"):
+        solve(*OVERFLOWING_WEIGHT)
+
+
+def test_dp_store_publishes_nothing_with_an_overflowing_weight():
+    data, epsilon, delta = OVERFLOWING_WEIGHT
+    store = ShardedSynopsisStore()
+    with pytest.raises(InvalidInputError, match="score weight"):
+        store.create(
+            "s", data, tier="dp", epsilon=epsilon, delta=delta, subtree_leaves=2
+        )
     assert "s" not in store
     assert store.history() == []
 

@@ -2,14 +2,21 @@
 
 A job is either
 
-* ``process_safe`` (the default) — it must be picklable, since
-  :class:`~repro.mapreduce.process.ProcessPoolRuntime` ships it to worker
-  processes.  Both the *class* (module-level, importable — the failure
-  mode of the historical ``_AverageJob``-inside-a-function bug) and a
-  representative *instance* must survive a pickle round trip; or
+* ``process_safe`` (the default) — :class:`~repro.mapreduce.process.ProcessPoolRuntime`
+  ships it to worker processes, so it must pickle (the *class* by
+  reference, which a class defined inside a function cannot, and a
+  representative *instance*), and its tasks must not pass state to one
+  another through the job or a module global, which a worker's copy
+  would lose; or
 * ``process_safe = False`` — it shares driver-side state and runs through
   the in-process fallback.  Those jobs must be the known, documented set,
   and the fallback path itself is exercised here end to end.
+
+The contract is checked by running it: every distributed algorithm
+builds one series on the local runtime and on a two-worker process pool,
+and the two runs must give the same synopsis and the same canonical
+trace.  Over all of them the runs must cover every concrete job's stage
+label, so no job escapes the comparison.
 
 New concrete job classes fail this test until they are added to the
 instance registry below — by design, so the pickling contract is decided
@@ -21,6 +28,8 @@ from __future__ import annotations
 import importlib
 import pickle
 import pkgutil
+from functools import lru_cache
+from typing import Any
 
 import numpy as np
 import pytest
@@ -41,12 +50,13 @@ from repro.core.dgreedy import (
 )
 from repro.core.dindirect import _EvaluateSynopsisJob, _LowerBoundJob
 from repro.core.dp_framework import _BottomUpLayerJob, _TopDownLayerJob, dm_haar_space
+from repro.core.thresholding import ALGORITHMS, build_synopsis
 from repro.mapreduce import (
     LocalRuntime,
     MapReduceJob,
     ProcessPoolRuntime,
     SimulatedCluster,
-    is_process_safe,
+    canonical_trace,
 )
 
 
@@ -137,7 +147,7 @@ def test_process_safe_job_class_pickles(cls):
 )
 def test_process_safe_job_instance_round_trips(cls):
     job = PROCESS_SAFE_INSTANCES[cls]
-    assert is_process_safe(job), f"{cls.__qualname__} is registered as process-safe"
+    assert job.process_safe, f"{cls.__qualname__} is registered as process-safe"
     clone = pickle.loads(pickle.dumps(job))
     assert type(clone) is cls
     assert clone.name == job.name
@@ -150,50 +160,6 @@ def test_process_safe_job_instance_round_trips(cls):
 def test_driver_state_jobs_opt_out(cls):
     assert cls.process_safe is False
     assert "process_safe" in cls.__dict__, "opt-out must be explicit on the class"
-
-
-def test_static_pickle_verdicts_agree_with_runtime_registry():
-    # The whole-program analyzer re-derives process-safety transitively
-    # (call-graph walk from each job's task methods) instead of trusting
-    # the declared flag.  Its verdicts must agree with this file's
-    # runtime registry class by class: every job that actually pickle
-    # round-trips is statically proven safe, and every documented
-    # driver-state job is statically refuted — a disagreement in either
-    # direction means the static model or the registry has drifted.
-    from pathlib import Path
-
-    from repro.analysis.pickling import job_pickle_verdicts
-    from repro.analysis.project import build_index
-
-    repo_src = Path(__file__).resolve().parent.parent / "src"
-    verdicts = job_pickle_verdicts(build_index([repo_src]))
-    by_name = {
-        qualname.rsplit(".", 1)[-1]: verdict for qualname, verdict in verdicts.items()
-    }
-
-    runtime_names = {
-        cls.__name__ for cls in PROCESS_SAFE_INSTANCES
-    } | {cls.__name__ for cls in KNOWN_DRIVER_STATE_JOBS}
-    assert set(by_name) == runtime_names, (
-        "the static analyzer and the runtime registry must classify the "
-        f"same set of concrete jobs; static-only={set(by_name) - runtime_names} "
-        f"runtime-only={runtime_names - set(by_name)}"
-    )
-
-    for cls in PROCESS_SAFE_INSTANCES:
-        verdict = by_name[cls.__name__]
-        assert verdict.process_safe, (
-            f"{cls.__qualname__} pickle round-trips at runtime but the static "
-            f"walk claims otherwise: {verdict.evidence}"
-        )
-        assert verdict.declared is True
-    for cls in KNOWN_DRIVER_STATE_JOBS:
-        verdict = by_name[cls.__name__]
-        assert not verdict.process_safe, (
-            f"{cls.__qualname__} is documented driver-state but the static "
-            "walk found no evidence why — document or fix"
-        )
-        assert verdict.declared is False
 
 
 def test_driver_state_jobs_run_via_in_process_fallback():
@@ -215,3 +181,66 @@ def test_driver_state_jobs_run_via_in_process_fallback():
     assert pooled.size == local.size
     assert pooled.max_error == local.max_error
     assert pooled.synopsis.coefficients == local.synopsis.coefficients
+
+
+#: Every distributed algorithm of the facade.
+DISTRIBUTED_ALGORITHMS = sorted(
+    name for name, (_, distributed) in ALGORITHMS.items() if distributed
+)
+
+#: One fixed series of four 64-leaf splits: longer than one split, so
+#: DIndirectHaar runs its distributed bound jobs, and its DP runs a
+#: distributed bottom band and a traceback below the top.  Values stay
+#: well away from 0, so DGreedyRel keeps coefficients too.
+SERIES = np.random.default_rng(7).integers(100, 200, size=256).astype(np.float64)
+SPLIT_LEAVES = 64
+BUDGET = 16
+
+#: Wall-clock fields of ``meta.cluster``: the only ones allowed to differ.
+TIMING_FIELDS = ("simulated_seconds", "driver_seconds")
+
+
+@lru_cache(maxsize=None)
+def _build(algorithm: str, runtime: str) -> tuple[dict[str, Any], dict[str, Any]]:
+    """``(synopsis dict without timings, canonical trace)`` of one build."""
+    cluster = SimulatedCluster(
+        runtime=LocalRuntime() if runtime == "local" else ProcessPoolRuntime(max_workers=2)
+    )
+    synopsis = build_synopsis(
+        SERIES, BUDGET, algorithm, cluster, subtree_leaves=SPLIT_LEAVES
+    ).to_dict()
+    meta = synopsis["meta"]
+    if "cluster" in meta:
+        meta["cluster"] = {
+            key: value
+            for key, value in meta["cluster"].items()
+            if key not in TIMING_FIELDS
+        }
+    return synopsis, canonical_trace(cluster.log.trace())
+
+
+@pytest.mark.parametrize("algorithm", DISTRIBUTED_ALGORITHMS)
+def test_algorithm_gives_same_output_on_both_runtimes(algorithm):
+    # A process-safe job whose class cannot be pickled fails here on the
+    # pool; one whose tasks hand state to a later task through the job
+    # (or a module global) sees it in the driver but not in a worker, so
+    # the synopsis or the trace differs.
+    local_synopsis, local_trace = _build(algorithm, "local")
+    pooled_synopsis, pooled_trace = _build(algorithm, "process")
+    assert pooled_synopsis == local_synopsis
+    assert pooled_trace == local_trace
+
+
+def test_differential_covers_every_concrete_job():
+    seen = {
+        job["stage_label"]
+        for algorithm in DISTRIBUTED_ALGORITHMS
+        for runtime in ("local", "process")
+        for job in _build(algorithm, runtime)[1]["jobs"]
+    }
+    declared = {
+        cls.stage_label
+        for cls in _concrete_job_classes()
+        if cls.__module__.startswith("repro.")
+    }
+    assert seen == declared

@@ -27,12 +27,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algos.minhaarspace import max_row_entries
 from repro.core.dp_framework import dm_haar_space, resolve_layer_plan
 from repro.core.layer_planner import (
     WorkModel,
     plan_layers_auto,
     predict_plan_seconds,
-    row_entries,
 )
 from repro.core.partitioning import LayerPlan, parse_layer_plan
 from repro.exceptions import InvalidInputError
@@ -185,9 +185,9 @@ class TestPlanner:
 
     def test_wider_rows_penalize_driver_band(self):
         # W_max enters every combine; the driver cap must not be free.
-        entries = row_entries(60.0, 1.0, 1 << 12)
+        entries = max_row_entries(60.0, 1.0, 1 << 12)
         assert entries == 122
-        assert row_entries(600.0, 1.0, 1 << 12) > entries
+        assert max_row_entries(600.0, 1.0, 1 << 12) > entries
 
     def test_resolve_layer_plan_precedence(self):
         cluster = SimulatedCluster(self.CONFIG)
