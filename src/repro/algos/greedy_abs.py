@@ -61,7 +61,9 @@ which every float comparison treats as equal).  A key is pushed only
 when a node's ``MA`` drops below its lowest enqueued key, stale entries
 are re-validated against the node's current ``MA`` at pop time, and the
 queue is rebuilt from the alive nodes' current MAs once stale entries
-dominate — none of which can reorder the valid pops.
+dominate — none of which can reorder the valid pops.  The queue and the
+discard loop live in :class:`GreedyEngine`, which the relative-error
+engine (:mod:`repro.algos.greedy_rel`) shares.
 
 Every arithmetic step mirrors the reference engine
 (:mod:`repro.algos.reference`) value-for-value — IEEE-754 double
@@ -77,13 +79,14 @@ from heapq import heapify, heappop, heappush, heappushpop
 from typing import NamedTuple
 
 import numpy as np
-from numpy.typing import ArrayLike
+from numpy.typing import ArrayLike, NDArray
 
 from repro.exceptions import InvalidInputError
 from repro.wavelet.synopsis import WaveletSynopsis
 from repro.wavelet.transform import haar_transform, is_power_of_two
 
-__all__ = ["Removal", "GreedyRun", "GreedyAbsTree", "greedy_abs", "greedy_abs_order"]
+__all__ = ["Removal", "GreedyRun", "GreedyEngine", "GreedyAbsTree", "greedy_abs",
+           "greedy_abs_order"]
 
 #: Level width below which the memoryview scalar path beats numpy's
 #: per-call dispatch overhead (tuned via benchmarks/bench_greedy_kernel.py).
@@ -127,7 +130,158 @@ class GreedyRun:
         return best_step, best_error
 
 
-class GreedyAbsTree:
+class GreedyEngine:
+    """The lazy min-queue and discard loop both greedy engines share.
+
+    A subclass fills ``_ma_arr`` with every node's potential error (MA
+    for :class:`GreedyAbsTree`, MR for
+    :class:`~repro.algos.greedy_rel.GreedyRelTree`), calls
+    :meth:`_init_queue`, and supplies the metric's own maintenance:
+    :meth:`current_error`, ``_remove_detail(k, c)`` and
+    ``_remove_average(c)``.  Each removal hook returns the tree-wide
+    error after the removal, writes the refreshed potential errors of
+    the nodes it dirtied into ``_ma_arr``, and re-keys them: one
+    ``heappush`` at a time on its scalar paths, or :meth:`_rekey` over a
+    refreshed id range.
+    """
+
+    m: int
+    _ma_arr: NDArray[np.float64]
+
+    def current_error(self) -> float:
+        """Tree-wide maximum error of the running synopsis."""
+        raise NotImplementedError
+
+    def _remove_detail(self, k: int, c: float, /) -> float:
+        raise NotImplementedError
+
+    def _remove_average(self, c: float, /) -> float:
+        raise NotImplementedError
+
+    def _init_queue(self, coefficients: NDArray[np.float64], include_average: bool) -> None:
+        """Set up the alive set and the queue over the filled ``_ma_arr``."""
+        m = self.m
+        ma = self._ma_arr
+        self._alive = alive = np.ones(m, dtype=bool)
+        alive[0] = include_average
+        self._alive_count = (m - 1) + (1 if include_average else 0)
+
+        # Scalar hot paths go through memoryviews: they share the numpy
+        # buffers but index at Python-list speed.
+        self._vcoef = memoryview(coefficients)
+        self._vma = memoryview(ma)
+        self._valive = memoryview(alive)
+
+        # One float64 cell viewed as int64: writing _packf[0] = v makes
+        # _packi[0] the sortable IEEE bit pattern of v (v >= 0).
+        pack_cell = np.empty(1, dtype=np.float64)
+        self._packf = memoryview(pack_cell)
+        self._packi = memoryview(pack_cell.view(np.int64))
+        self._id_bits = id_bits = max(20, m.bit_length())
+        self._id_mask = (1 << id_bits) - 1
+
+        # Lazy min-queue of packed (priority-bits, node) keys.  Invariant:
+        # every alive node has an entry keyed at _minstored[node] <= its
+        # true priority, so the first pop whose key matches the node's
+        # current priority is the true minimum under the deterministic
+        # (priority, node-id) order of the reference engines' heap.
+        self._minstored = ma.copy()
+        self._vms = memoryview(self._minstored)
+        start = 0 if include_average else 1
+        ids = np.arange(start, m, dtype=np.int64)
+        keys = (((ma[start:] + 0.0).view(np.int64) << id_bits) | ids).tolist()
+        heapify(keys)
+        self._heap = keys
+        self._push_mask = np.empty(m, dtype=bool)
+
+    def _rekey(self, a: int, b: int) -> None:
+        """Queue the refreshed ``_ma_arr[a:b]`` where it undercuts a key.
+
+        The batched analogue of one ``heap.update`` per dirtied node: a
+        new key enters the queue only where it undercuts the node's
+        lowest enqueued key (and the node is alive).
+        """
+        ma_seg = self._ma_arr[a:b]
+        mask = self._push_mask[: b - a]
+        np.less(ma_seg, self._minstored[a:b], out=mask)
+        mask &= self._alive[a:b]
+        idx = mask.nonzero()[0]
+        if idx.size:
+            vms = self._vms
+            heap = self._heap
+            vals = ma_seg[idx]
+            keys = ((vals + 0.0).view(np.int64) << self._id_bits) | (idx + a)
+            for off, v, key in zip(idx.tolist(), vals.tolist(), keys.tolist()):
+                vms[a + off] = v
+                heappush(heap, key)
+
+    def run_to_exhaustion(self) -> GreedyRun:
+        """Discard every node; return the ordered removal sequence.
+
+        Each step pops the queue until a key matches its node's current
+        priority: dead nodes' entries are dropped, a stale-low entry (the
+        priority rose since it was pushed) is re-inserted at the current
+        key in one sift, and a stale-high one is skipped because a lower
+        entry for the node is still queued.  When stale entries far
+        outnumber alive nodes the heap is rebuilt with one exact key per
+        alive node at its *current* priority.  A rebuilt key pops exactly
+        where the node's lowest prior entry would have validated or
+        re-inserted to, so the valid pop sequence, and hence the removal
+        sequence, is unchanged.
+        """
+        initial = self.current_error()
+        removals = []
+        append = removals.append
+        valive = self._valive
+        vma = self._vma
+        vms = self._vms
+        vcoef = self._vcoef
+        packf = self._packf
+        packi = self._packi
+        id_bits = self._id_bits
+        id_mask = self._id_mask
+        remove_detail = self._remove_detail
+        remove_average = self._remove_average
+        new = tuple.__new__
+        cls = Removal
+        alive = self._alive_count
+        heap = self._heap
+        while alive:
+            if len(heap) > 4 * alive + 4096:
+                ids = self._alive.nonzero()[0]
+                vals = self._ma_arr[ids] + 0.0
+                self._minstored[ids] = vals
+                heap = ((vals.view(np.int64) << id_bits) | ids).tolist()
+                heapify(heap)
+                self._heap = heap
+            key = heappop(heap)
+            while True:
+                k = key & id_mask
+                if not valive[k]:
+                    key = heappop(heap)
+                    continue
+                packf[0] = vma[k] + 0.0
+                current_key = (packi[0] << id_bits) | k
+                if key == current_key:
+                    break
+                if key < current_key:
+                    vms[k] = vma[k]
+                    key = heappushpop(heap, current_key)
+                else:
+                    key = heappop(heap)
+            value = vcoef[k]
+            valive[k] = False
+            alive -= 1
+            self._alive_count = alive
+            if k:
+                error_after = remove_detail(k, value)
+            else:
+                error_after = remove_average(value)
+            append(new(cls, (k, value, error_after)))
+        return GreedyRun(removals=removals, initial_error=initial)
+
+
+class GreedyAbsTree(GreedyEngine):
     """Greedy discard engine over one complete error (sub-)tree.
 
     Parameters
@@ -193,62 +347,14 @@ class GreedyAbsTree:
             a_side = np.maximum(smax[2::2], sneg[3::2])
             b_side = np.maximum(smax[3::2], sneg[2::2])
             np.maximum(a_side - c, b_side + c, out=ma[1:])
-        self._alive = np.zeros(m, dtype=bool)
-        self._alive[1:] = True
-        self._alive[0] = include_average
-        self._alive_count = (m - 1) + (1 if include_average else 0)
-
-        # Scalar hot paths go through memoryviews: they share the numpy
-        # buffers but index at Python-list speed.
-        self._vmax = memoryview(smax)
-        self._vneg = memoryview(sneg)
-        self._vma = memoryview(ma)
-        self._vcoef = memoryview(coeffs)
-        self._valive = memoryview(self._alive)
         if include_average:
             c0 = coeffs[0]
             ma[0] = max(smax[1] - c0, sneg[1] + c0)
-
-        # One float64 cell viewed as int64: writing _packf[0] = v makes
-        # _packi[0] the sortable IEEE bit pattern of v (v >= 0).
-        pack_cell = np.empty(1, dtype=np.float64)
-        self._packf = memoryview(pack_cell)
-        self._packi = memoryview(pack_cell.view(np.int64))
-        self._id_bits = id_bits = max(20, m.bit_length())
-        self._id_mask = (1 << id_bits) - 1
-
-        # Lazy min-queue of packed (MA-bits, node) keys.  Invariant:
-        # every alive node has an entry keyed at _minstored[node] <= its
-        # true MA, so the first pop whose key matches the node's current
-        # MA is the true minimum under the deterministic
-        # (priority, node-id) order of the reference engine's heap.
-        self._minstored = ma.copy()
-        self._vms = memoryview(self._minstored)
-        start = 0 if include_average else 1
-        ids = np.arange(start, m, dtype=np.int64)
-        keys = (((ma[start:] + 0.0).view(np.int64) << id_bits) | ids).tolist()
-        heapify(keys)
-        self._heap = keys
-
+        self._init_queue(coeffs, include_average)
+        self._vmax = memoryview(smax)
+        self._vneg = memoryview(sneg)
         self._scratch1 = np.empty(m, dtype=np.float64)
         self._scratch2 = np.empty(m, dtype=np.float64)
-        self._push_mask = np.empty(m, dtype=bool)
-
-    # -- potential error computations -------------------------------------
-
-    def _ma(self, j: int) -> float:
-        c = self._vcoef[j]
-        if j == 0:
-            neg = -self._vmax[1] if self.m == 1 else self._vneg[1]
-            return max(self._vmax[1] - c, neg + c)
-        left, right = 2 * j, 2 * j + 1
-        xl = self._vmax[left]
-        xr = self._vmax[right]
-        if left >= self.m:
-            gl, gr = -xl, -xr
-        else:
-            gl, gr = self._vneg[left], self._vneg[right]
-        return max(max(xl, gr) - c, max(xr, gl) + c)
 
     def current_error(self) -> float:
         """Tree-wide maximum absolute error of the running synopsis."""
@@ -258,48 +364,6 @@ class GreedyAbsTree:
         return max(v, self._vneg[1])
 
     # -- removal ----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._alive_count
-
-    def remove_next(self) -> Removal:
-        """Discard the node with minimum ``MA`` and update the tree."""
-        if not self._alive_count:
-            raise IndexError("pop from empty heap")
-        heap = self._heap
-        valive = self._valive
-        vma = self._vma
-        id_bits = self._id_bits
-        id_mask = self._id_mask
-        packf = self._packf
-        packi = self._packi
-        key = heappop(heap)
-        while True:
-            k = key & id_mask
-            if not valive[k]:
-                key = heappop(heap)
-                continue
-            packf[0] = vma[k] + 0.0
-            current_key = (packi[0] << id_bits) | k
-            if key == current_key:
-                break
-            if key < current_key:
-                # Stale-low entry: the true MA rose since it was pushed.
-                # Reinsert at the current key (cf. AddressableMinHeap.update)
-                # and take the new minimum in one sift.
-                self._vms[k] = vma[k]
-                key = heappushpop(heap, current_key)
-            else:
-                # A lower entry for k is still queued.
-                key = heappop(heap)
-        value = self._vcoef[k]
-        valive[k] = False
-        self._alive_count -= 1
-        if k == 0:
-            error_after = self._remove_average(value)
-        else:
-            error_after = self._remove_detail(k, value)
-        return Removal(k, value, error_after)
 
     def _remove_average(self, c: float) -> float:
         m = self.m
@@ -543,9 +607,7 @@ class GreedyAbsTree:
     def _vector_ma_refresh(self, a: int, b: int) -> None:
         """Recompute MA for the id range ``[a, b)`` in one numpy pass.
 
-        New keys enter the queue only where they undercut the node's
-        lowest enqueued key (and the node is alive) — the batched
-        analogue of one ``heap.update`` per dirtied node.  ``[a, b)``
+        The refreshed MAs are re-keyed through :meth:`_rekey`.  ``[a, b)``
         must not straddle the half-way point (children must be all
         interior or all leaves).
         """
@@ -572,81 +634,12 @@ class GreedyAbsTree:
         np.subtract(s1, cseg, out=ma_seg)
         np.add(s2, cseg, out=s1)
         np.maximum(ma_seg, s1, out=ma_seg)
-        mask = self._push_mask[:w]
-        np.less(ma_seg, self._minstored[a:b], out=mask)
-        mask &= self._alive[a:b]
-        idx = mask.nonzero()[0]
-        if idx.size:
-            vms = self._vms
-            heap = self._heap
-            vals = ma_seg[idx]
-            keys = ((vals + 0.0).view(np.int64) << self._id_bits) | (idx + a)
-            for off, v, key in zip(idx.tolist(), vals.tolist(), keys.tolist()):
-                vms[a + off] = v
-                heappush(heap, key)
+        self._rekey(a, b)
 
     def run_to_exhaustion(self) -> GreedyRun:
-        """Discard every node; return the ordered removal sequence.
-
-        Same semantics as calling :meth:`remove_next` until empty, with
-        the pop loop inlined (locals bound once) and the lazy queue
-        periodically compacted: when stale entries far outnumber alive
-        nodes the heap is rebuilt with one exact key per alive node at
-        its *current* MA.  A rebuilt key pops exactly where the node's
-        lowest prior entry would have validated or re-inserted to, so
-        the valid pop sequence — and hence the removal sequence — is
-        unchanged.
-        """
-        initial = self.current_error()
-        removals = []
-        append = removals.append
-        valive = self._valive
-        vma = self._vma
-        vms = self._vms
-        vcoef = self._vcoef
-        packf = self._packf
-        packi = self._packi
-        id_bits = self._id_bits
-        id_mask = self._id_mask
-        remove_detail = self._remove_detail
-        remove_average = self._remove_average
-        new = tuple.__new__
-        cls = Removal
-        alive = self._alive_count
-        heap = self._heap
-        while alive:
-            if len(heap) > 4 * alive + 4096:
-                ids = self._alive.nonzero()[0]
-                vals = self._ma_arr[ids] + 0.0
-                self._minstored[ids] = vals
-                heap = ((vals.view(np.int64) << id_bits) | ids).tolist()
-                heapify(heap)
-                self._heap = heap
-            key = heappop(heap)
-            while True:
-                k = key & id_mask
-                if not valive[k]:
-                    key = heappop(heap)
-                    continue
-                packf[0] = vma[k] + 0.0
-                current_key = (packi[0] << id_bits) | k
-                if key == current_key:
-                    break
-                if key < current_key:
-                    vms[k] = vma[k]
-                    key = heappushpop(heap, current_key)
-                else:
-                    key = heappop(heap)
-            value = vcoef[k]
-            valive[k] = False
-            alive -= 1
-            self._alive_count = alive
-            if k:
-                error_after = remove_detail(k, value)
-            else:
-                error_after = remove_average(value)
-            append(new(cls, (k, value, error_after)))
-        return GreedyRun(removals=removals, initial_error=initial)
+        # Kept in this class's own namespace: profilers wrap the method
+        # through ``vars(GreedyAbsTree)`` (benchmarks/e2e/layers.py).
+        return super().run_to_exhaustion()
 
 
 def greedy_abs_order(

@@ -45,9 +45,10 @@ scalar loops that fuse the term computation with the first aggregation
 level; wide ones run through numpy slice ops, exactly as in the abs
 engine.
 
-Dirtied priorities enter the same lazy packed-integer queue as
-:class:`~repro.algos.greedy_abs.GreedyAbsTree` (keys
-``(float64_bits(MR) << id_bits) | node``), which reproduces the
+The lazy packed-integer queue (keys ``(float64_bits(MR) << id_bits) |
+node``) and the discard loop are
+:class:`~repro.algos.greedy_abs.GreedyEngine`'s, shared with
+:class:`~repro.algos.greedy_abs.GreedyAbsTree`; they reproduce the
 ``(priority, node)`` pop order of the scalar reference engine's
 addressable heap — differential-tested in
 ``tests/test_greedy_vectorized.py`` against
@@ -56,12 +57,12 @@ addressable heap — differential-tested in
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush, heappushpop
+from heapq import heappush
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from repro.algos.greedy_abs import GreedyRun, Removal
+from repro.algos.greedy_abs import GreedyEngine, GreedyRun
 from repro.exceptions import InvalidInputError
 from repro.wavelet.metrics import DEFAULT_SANITY_BOUND, check_sanity_bound
 from repro.wavelet.synopsis import WaveletSynopsis
@@ -74,7 +75,7 @@ __all__ = ["GreedyRelTree", "greedy_rel", "greedy_rel_order"]
 _SCALAR_SPAN_CUTOFF = 32
 
 
-class GreedyRelTree:
+class GreedyRelTree(GreedyEngine):
     """Greedy discard engine minimizing maximum relative error.
 
     Parameters
@@ -124,9 +125,7 @@ class GreedyRelTree:
         #: ``[1 << L, 2 << L)`` each spanning ``m >> L >= 2`` leaves.
         self._levels = levels = m.bit_length() - 1
 
-        self._scratch1 = np.empty(m, dtype=np.float64)
         self._scratch2 = np.empty(max(m // 2, 1), dtype=np.float64)
-        self._push_mask = np.empty(m, dtype=bool)
         self._ma_arr = ma = np.zeros(m, dtype=np.float64)
         # Shared leaf-term scratch: slot m + i holds the current tree's
         # term for leaf i, valid only within one fill-and-rebuild pass.
@@ -173,18 +172,9 @@ class GreedyRelTree:
             self._wq = None
             self._wg = None
 
-        self._alive = np.zeros(m, dtype=bool)
-        self._alive[1:] = True
-        self._alive[0] = include_average
-        self._alive_count = (m - 1) + (1 if include_average else 0)
-
-        # Scalar hot paths go through memoryviews: they share the numpy
-        # buffers but index at Python-list speed.
+        self._init_queue(coeffs, include_average)
         self._verr = memoryview(err)
         self._vden = memoryview(den)
-        self._vcoef = memoryview(coeffs)
-        self._vma = memoryview(ma)
-        self._valive = memoryview(self._alive)
         self._vuq = memoryview(uq)
         self._vug = memoryview(ug)
         if include_average:
@@ -196,32 +186,7 @@ class GreedyRelTree:
         self._vtq = [memoryview(t) for t in self._tq]
         self._vtg = [memoryview(t) for t in self._tg]
 
-        # One float64 cell viewed as int64: writing _packf[0] = v makes
-        # _packi[0] the sortable IEEE bit pattern of v (v >= 0).
-        pack_cell = np.empty(1, dtype=np.float64)
-        self._packf = memoryview(pack_cell)
-        self._packi = memoryview(pack_cell.view(np.int64))
-        self._id_bits = id_bits = max(20, m.bit_length())
-        self._id_mask = (1 << id_bits) - 1
-
-        # Lazy min-queue of packed (MR-bits, node) keys; same invariants
-        # as GreedyAbsTree's queue.
-        self._minstored = ma.copy()
-        self._vms = memoryview(self._minstored)
-        start = 0 if include_average else 1
-        ids = np.arange(start, m, dtype=np.int64)
-        keys = (((ma[start:] + 0.0).view(np.int64) << id_bits) | ids).tolist()
-        heapify(keys)
-        self._heap = keys
-
     # -- tree maintenance --------------------------------------------------
-
-    def _leaf_range(self, j: int) -> tuple[int, int, int]:
-        """Local (lo, mid, hi) leaf bounds of node ``j >= 1``."""
-        level = j.bit_length() - 1
-        span = self.m >> level
-        lo = (j - (1 << level)) * span
-        return lo, lo + span // 2, lo + span
 
     def _fill_level_terms(self, L: int, lo: int, hi: int) -> None:
         """Write level-``L`` signed terms for leaves ``[lo, hi)`` into the
@@ -288,27 +253,10 @@ class GreedyRelTree:
     def _batch_push(
         self, tq: NDArray[np.float64], tg: NDArray[np.float64], a0: int, nb: int
     ) -> None:
-        """Refresh MR for block roots ``[a0, a0 + nb)`` and rekey.
-
-        The batched analogue of one ``heap.update`` per dirtied node:
-        new keys enter the queue only where they undercut the node's
-        lowest enqueued key (and the node is alive).
-        """
-        s1 = self._scratch1[:nb]
-        np.maximum(tq[a0 : a0 + nb], tg[a0 : a0 + nb], out=s1)
-        self._ma_arr[a0 : a0 + nb] = s1
-        mask = self._push_mask[:nb]
-        np.less(s1, self._minstored[a0 : a0 + nb], out=mask)
-        mask &= self._alive[a0 : a0 + nb]
-        idx = mask.nonzero()[0]
-        if idx.size:
-            vms = self._vms
-            heap = self._heap
-            vals = s1[idx]
-            keys = ((vals + 0.0).view(np.int64) << self._id_bits) | (idx + a0)
-            for off, v, key in zip(idx.tolist(), vals.tolist(), keys.tolist()):
-                vms[a0 + off] = v
-                heappush(heap, key)
+        """Refresh MR for block roots ``[a0, a0 + nb)`` and re-key them."""
+        b = a0 + nb
+        np.maximum(tq[a0:b], tg[a0:b], out=self._ma_arr[a0:b])
+        self._rekey(a0, b)
 
     # -- state queries -----------------------------------------------------
 
@@ -321,47 +269,7 @@ class GreedyRelTree:
         g = self._vug[1]
         return x if x >= g else g
 
-    def __len__(self) -> int:
-        return self._alive_count
-
     # -- removal -----------------------------------------------------------
-
-    def remove_next(self) -> Removal:
-        """Discard the node with minimum ``MR`` and update the tree."""
-        if not self._alive_count:
-            raise IndexError("pop from empty heap")
-        heap = self._heap
-        valive = self._valive
-        vma = self._vma
-        id_bits = self._id_bits
-        id_mask = self._id_mask
-        packf = self._packf
-        packi = self._packi
-        key = heappop(heap)
-        while True:
-            k = key & id_mask
-            if not valive[k]:
-                key = heappop(heap)
-                continue
-            packf[0] = vma[k] + 0.0
-            current_key = (packi[0] << id_bits) | k
-            if key == current_key:
-                break
-            if key < current_key:
-                # Stale-low entry: the true MR rose since it was pushed.
-                self._vms[k] = vma[k]
-                key = heappushpop(heap, current_key)
-            else:
-                # A lower entry for k is still queued.
-                key = heappop(heap)
-        value = self._vcoef[k]
-        valive[k] = False
-        self._alive_count -= 1
-        if k == 0:
-            error_after = self._remove_average(value)
-        else:
-            error_after = self._remove_detail(k, value)
-        return Removal(k, value, error_after)
 
     def _remove_average(self, c0: float) -> float:
         m = self.m
@@ -642,64 +550,6 @@ class GreedyRelTree:
                 heappush(heap, (packi[0] << id_bits) | a)
 
         return ex if ex >= eg else eg
-
-    def run_to_exhaustion(self) -> GreedyRun:
-        """Discard every node; return the ordered removal sequence.
-
-        Same semantics as calling :meth:`remove_next` until empty, with
-        the pop loop inlined and the lazy queue periodically compacted
-        (see :meth:`GreedyAbsTree.run_to_exhaustion`).
-        """
-        initial = self.current_error()
-        removals = []
-        append = removals.append
-        valive = self._valive
-        vma = self._vma
-        vms = self._vms
-        vcoef = self._vcoef
-        packf = self._packf
-        packi = self._packi
-        id_bits = self._id_bits
-        id_mask = self._id_mask
-        remove_detail = self._remove_detail
-        remove_average = self._remove_average
-        new = tuple.__new__
-        cls = Removal
-        alive = self._alive_count
-        heap = self._heap
-        while alive:
-            if len(heap) > 4 * alive + 4096:
-                ids = self._alive.nonzero()[0]
-                vals = self._ma_arr[ids] + 0.0
-                self._minstored[ids] = vals
-                heap = ((vals.view(np.int64) << id_bits) | ids).tolist()
-                heapify(heap)
-                self._heap = heap
-            key = heappop(heap)
-            while True:
-                k = key & id_mask
-                if not valive[k]:
-                    key = heappop(heap)
-                    continue
-                packf[0] = vma[k] + 0.0
-                current_key = (packi[0] << id_bits) | k
-                if key == current_key:
-                    break
-                if key < current_key:
-                    vms[k] = vma[k]
-                    key = heappushpop(heap, current_key)
-                else:
-                    key = heappop(heap)
-            value = vcoef[k]
-            valive[k] = False
-            alive -= 1
-            self._alive_count = alive
-            if k:
-                error_after = remove_detail(k, value)
-            else:
-                error_after = remove_average(value)
-            append(new(cls, (k, value, error_after)))
-        return GreedyRun(removals=removals, initial_error=initial)
 
 
 def greedy_rel_order(

@@ -3,8 +3,9 @@
 GreedyAbs/GreedyRel repeatedly extract the coefficient with the minimum
 potential error and *update the priorities* of its ancestors and
 descendants in place (Section 5.1).  ``heapq`` cannot reprioritize, so we
-maintain an explicit position map supporting ``update`` and ``remove`` in
-``O(log n)``.
+maintain an explicit position map supporting ``update`` in ``O(log n)``.
+The scalar reference engines (:mod:`repro.algos.reference`) are its only
+users; the vectorized engines run a lazy ``heapq`` queue instead.
 
 Ties are broken on the item id, which keeps the greedy algorithms fully
 deterministic (important when comparing distributed against centralized
@@ -12,9 +13,6 @@ runs coefficient-by-coefficient).
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable
-from heapq import heapify
 
 __all__ = ["AddressableMinHeap"]
 
@@ -32,10 +30,6 @@ class AddressableMinHeap:
     def __contains__(self, item_id: int) -> bool:
         return item_id in self._positions
 
-    def priority(self, item_id: int) -> float:
-        """Current priority of ``item_id`` (KeyError if absent)."""
-        return self._entries[self._positions[item_id]][0]
-
     def push(self, item_id: int, priority: float) -> None:
         """Insert a new item (ValueError if it is already present)."""
         if item_id in self._positions:
@@ -44,19 +38,16 @@ class AddressableMinHeap:
         self._positions[item_id] = len(self._entries) - 1
         self._sift_up(len(self._entries) - 1)
 
-    def peek(self) -> tuple[int, float]:
-        """Return ``(item_id, priority)`` of the minimum without removing it."""
-        if not self._entries:
-            raise IndexError("peek from empty heap")
-        priority, item_id = self._entries[0]
-        return item_id, priority
-
     def pop(self) -> tuple[int, float]:
         """Remove and return ``(item_id, priority)`` of the minimum."""
         if not self._entries:
             raise IndexError("pop from empty heap")
         priority, item_id = self._entries[0]
-        self._delete_at(0)
+        del self._positions[item_id]
+        last = self._entries.pop()
+        if self._entries:
+            self._entries[0] = last
+            self._sift_down(0)
         return item_id, priority
 
     def update(self, item_id: int, priority: float) -> None:
@@ -70,59 +61,6 @@ class AddressableMinHeap:
             self._sift_up(index)
         else:
             self._sift_down(index)
-
-    def update_many(self, updates: Iterable[tuple[int, float]]) -> None:
-        """Batch reprioritization of ``(item_id, priority)`` pairs.
-
-        Equivalent to calling :meth:`update` once per pair (KeyError if
-        any item is absent; the last pair wins on duplicate ids), but
-        when the batch is large relative to the heap it overwrites all
-        entries first and restores the invariant with a single bottom-up
-        heapify — ``O(n)`` instead of ``O(batch · log n)`` sift calls.
-        The pop order is unaffected either way: it depends only on the
-        ``(priority, item_id)`` multiset, not the internal layout.
-        """
-        pairs = list(updates)
-        if not pairs:
-            return
-        entries = self._entries
-        if len(pairs) * len(entries).bit_length() < len(entries):
-            for item_id, priority in pairs:
-                self.update(item_id, priority)
-            return
-        positions = self._positions
-        for item_id, priority in pairs:
-            entries[positions[item_id]] = (priority, item_id)
-        heapify(entries)
-        for index, (_, item_id) in enumerate(entries):
-            positions[item_id] = index
-
-    def push_or_update(self, item_id: int, priority: float) -> None:
-        """``update`` when present, ``push`` otherwise."""
-        if item_id in self._positions:
-            self.update(item_id, priority)
-        else:
-            self.push(item_id, priority)
-
-    def remove(self, item_id: int) -> None:
-        """Delete ``item_id`` from the heap (KeyError if absent)."""
-        self._delete_at(self._positions[item_id])
-
-    def _delete_at(self, index: int) -> None:
-        last = len(self._entries) - 1
-        priority, item_id = self._entries[index]
-        del self._positions[item_id]
-        if index != last:
-            moved = self._entries[last]
-            self._entries[index] = moved
-            self._positions[moved[1]] = index
-            self._entries.pop()
-            if moved < (priority, item_id):
-                self._sift_up(index)
-            else:
-                self._sift_down(index)
-        else:
-            self._entries.pop()
 
     def _sift_up(self, index: int) -> None:
         entry = self._entries[index]

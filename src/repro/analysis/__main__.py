@@ -1,9 +1,9 @@
 """``python -m repro.analysis [paths]`` — the CI lint gate.
 
 Runs the per-file rule pack, with suppression hygiene, over the given
-paths.  ``--sarif-file`` writes the findings as SARIF 2.1.0 for inline
-PR annotation; ``--compare-digests`` compares two sanitizer reports
-instead of analyzing anything.
+paths and prints each finding as ``path:line:col: RULE message``.
+``--compare-digests`` compares two sanitizer reports instead of
+analyzing anything.
 
 Exit status: 0 when clean (or reports match), 1 when findings were
 reported (or reports differ), 2 on usage or parse errors.
@@ -19,7 +19,6 @@ from pathlib import Path
 from repro.analysis import all_rules, analyze_paths
 from repro.analysis.core import SUPPRESSION_RULES
 from repro.analysis.sanitizer import compare_reports
-from repro.analysis.sarif import write_sarif
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,13 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true", help="print every rule and exit"
     )
     parser.add_argument(
-        "--sarif-file",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="also write findings as SARIF 2.1.0 to FILE",
-    )
-    parser.add_argument(
         "--compare-digests",
         nargs=2,
         type=Path,
@@ -53,12 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare two sanitizer reports for bit-identity and exit",
     )
     return parser
-
-
-def _rule_descriptions() -> dict[str, str]:
-    described = {rule.rule_id: rule.summary for rule in all_rules()}
-    described.update(SUPPRESSION_RULES)
-    return described
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -99,8 +85,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot parse {error.filename}:{error.lineno}: {error.msg}", file=sys.stderr)
         return 2
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    if args.sarif_file is not None:
-        write_sarif(findings, _rule_descriptions(), args.sarif_file)
     for finding in findings:
         print(finding.render())
     if findings:

@@ -3,7 +3,9 @@
 :func:`as_finite_series` is the one input boundary for in-memory series:
 ``build_synopsis`` and both serving-store tiers reject non-finite or
 mis-shaped values through it, before any algorithm or store state sees
-them.  :func:`atomic_write_text` saves the store crash-safely, and
+them; file-backed input (:class:`~repro.mapreduce.hdfs.FileDataset`)
+runs its :func:`require_finite` check chunk by chunk.
+:func:`atomic_write_text` saves the store crash-safely, and
 :func:`read_json` reads saved files back.
 
 The error tree is a complete binary tree, so every algorithm in this
@@ -27,7 +29,7 @@ from repro.exceptions import InvalidInputError, ReproError
 from repro.wavelet.transform import is_power_of_two
 
 __all__ = ["as_finite_series", "atomic_write_text", "describe", "next_power_of_two",
-           "pad_to_power_of_two", "read_json", "truncate_to_power_of_two"]
+           "pad_to_power_of_two", "read_json", "require_finite", "truncate_to_power_of_two"]
 
 
 def as_finite_series(data: ArrayLike) -> NDArray[np.float64]:
@@ -41,11 +43,22 @@ def as_finite_series(data: ArrayLike) -> NDArray[np.float64]:
         raise InvalidInputError("data must be one-dimensional")
     if values.size == 0:
         raise InvalidInputError("data must be non-empty")
+    require_finite(values)
+    return values
+
+
+def require_finite(values: NDArray[np.float64], start: int = 0) -> None:
+    """Raise :class:`InvalidInputError` at the first NaN or infinity.
+
+    ``values`` may be one chunk of a longer series that begins at index
+    ``start``; the error names the index in the whole series.
+    """
     finite = np.isfinite(values)
     if not finite.all():
         bad = int(np.argmin(finite))
-        raise InvalidInputError(f"data must be finite; found {values[bad]} at index {bad}")
-    return values
+        raise InvalidInputError(
+            f"data must be finite; found {values[bad]} at index {start + bad}"
+        )
 
 
 def next_power_of_two(n: int) -> int:

@@ -50,7 +50,6 @@ from repro.mapreduce.tracing import (
     JobSpan,
     StageSpan,
     TaskSpan,
-    Tracer,
     canonical_trace,
     job_emitted_bytes,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "StageSpan",
     "TaskSpan",
     "TRACE_SCHEMA_VERSION",
-    "Tracer",
     "aligned_splits",
     "block_splits",
     "canonical_trace",

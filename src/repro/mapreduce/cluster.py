@@ -335,10 +335,9 @@ class RunLog:
         """The run's trace document (``schema`` versioned, JSON-ready).
 
         Assembled from the ``JobResult.trace`` spans the runtime attached
-        to every executed job — the same document a
-        :class:`~repro.mapreduce.tracing.Tracer` wired into the runtime
-        would produce, with the cluster's priced simulated times included.
-        Jobs without a span (hand-constructed results) are skipped.
+        to every executed job, with the cluster's priced simulated times
+        included.  Jobs without a span (hand-constructed results) are
+        skipped.
         """
         spans = (job.trace for job in self.jobs)
         return {

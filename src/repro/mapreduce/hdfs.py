@@ -28,10 +28,17 @@ from typing import Any, cast
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+from repro.data.loader import require_finite
 from repro.exceptions import InvalidInputError
 from repro.wavelet.transform import is_power_of_two
 
 __all__ = ["FileDataset", "FileSplit", "InputSplit", "aligned_splits", "block_splits"]
+
+#: Values per chunk when :class:`FileDataset` scans its file for NaN and
+#: infinities (512 KiB of float64).  The scan reads the file into one
+#: chunk buffer rather than touching the memory map, whose pages would
+#: all stay resident until it is unmapped.
+_SCAN_VALUES = 1 << 16
 
 
 @dataclass
@@ -166,7 +173,10 @@ class FileDataset:
     :func:`aligned_splits`: algorithms that only need ``len(data)`` plus
     sub-tree aligned splits (DGreedyAbs/DGreedyRel) accept either.  The
     file must hold a one-dimensional float64 array of power-of-two
-    length — validated from the ``.npy`` header without reading the data.
+    length, validated from the ``.npy`` header, and only finite values,
+    validated by one chunked read of the file (the same
+    :class:`InvalidInputError` as the in-memory boundary,
+    :func:`~repro.data.loader.as_finite_series`).
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -190,6 +200,12 @@ class FileDataset:
             raise InvalidInputError(
                 f"dataset length {self.length} is not a power of two"
             )
+        chunk = np.empty(min(self.length, _SCAN_VALUES), dtype=np.float64)
+        with open(self.path, "rb") as stream:
+            stream.seek(array.offset)
+            for start in range(0, self.length, chunk.size):
+                read = stream.readinto(chunk) // chunk.itemsize
+                require_finite(chunk[:read], start)
 
     def __len__(self) -> int:
         return self.length

@@ -42,7 +42,7 @@ from repro.mapreduce.runtime import (
     run_task_attempts,
 )
 from repro.mapreduce.shuffle import ShuffleConfig
-from repro.mapreduce.tracing import TaskSpan, Tracer
+from repro.mapreduce.tracing import TaskSpan
 
 __all__ = ["ProcessPoolRuntime", "default_process_count"]
 
@@ -95,14 +95,13 @@ class ProcessPoolRuntime(LocalRuntime):
         self,
         max_workers: int | None = None,
         failure_injector: FailureInjector | None = None,
-        tracer: Tracer | None = None,
         shuffle: ShuffleConfig | str | None = None,
     ) -> None:
         if max_workers is None:
             max_workers = default_process_count()
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        super().__init__(failure_injector, tracer, shuffle)
+        super().__init__(failure_injector, shuffle)
         self.max_workers = max_workers
 
     def _execute_map_tasks(

@@ -52,13 +52,7 @@ from repro.mapreduce.hdfs import InputSplit
 from repro.mapreduce.job import MapReduceJob, reduce_order
 from repro.mapreduce.serde import records_size
 from repro.mapreduce.shuffle import ShuffleBase, ShuffleConfig, make_shuffle
-from repro.mapreduce.tracing import (
-    AttemptSpan,
-    JobSpan,
-    StageSpan,
-    TaskSpan,
-    Tracer,
-)
+from repro.mapreduce.tracing import AttemptSpan, JobSpan, StageSpan, TaskSpan
 
 __all__ = [
     "FailureInjector",
@@ -231,19 +225,17 @@ def run_task_attempts(
 class LocalRuntime:
     """Runs jobs in-process with per-task timing and attempt retries.
 
-    Pass a :class:`~repro.mapreduce.tracing.Tracer` to collect every job
-    span the runtime produces; a :class:`~repro.mapreduce.cluster.RunLog`
-    offers the same capture at the cluster level without one.
+    Every :class:`JobResult` carries its span tree in ``trace``; a
+    :class:`~repro.mapreduce.cluster.RunLog` renders the spans of a
+    whole run as one trace document.
     """
 
     def __init__(
         self,
         failure_injector: FailureInjector | None = None,
-        tracer: Tracer | None = None,
         shuffle: ShuffleConfig | str | None = None,
     ) -> None:
         self.failure_injector = failure_injector
-        self.tracer = tracer
         if isinstance(shuffle, str):
             shuffle = ShuffleConfig(mode=shuffle)
         self.shuffle = shuffle
@@ -434,10 +426,8 @@ class LocalRuntime:
     def _finish(
         self, job: MapReduceJob, result: JobResult, stages: list[StageSpan]
     ) -> JobResult:
-        """Attach the span tree to the result and record it with the tracer."""
+        """Attach the span tree to the result."""
         result.trace = JobSpan(name=job.name, stage_label=job.stage_label, stages=stages)
-        if self.tracer is not None:
-            self.tracer.record(result.trace)
         sanitizer = sanitizer_current()
         if sanitizer is not None:
             sanitizer.observe_job_output(job.name, result.output)

@@ -22,11 +22,12 @@ Wall time is measured; simulated time is filled in afterwards by
 Byte counts use the deterministic serde model
 (:mod:`repro.mapreduce.serde`), so traces are comparable across hosts.
 
-The JSON rendering (:meth:`Tracer.to_dict`) is versioned with a top-level
-``schema`` field; ``docs/OBSERVABILITY.md`` documents every field, and
-the golden-schema test pins the key sets.  :func:`canonical_trace`
-strips the timing fields and normalizes task order, which is how the
-runtime-equivalence tests compare traces across execution engines.
+The JSON rendering (:meth:`repro.mapreduce.cluster.RunLog.trace`) is
+versioned with a top-level ``schema`` field; ``docs/OBSERVABILITY.md``
+documents every field, and the golden-schema test pins the key sets.
+:func:`canonical_trace` strips the timing fields and normalizes task
+order, which is how the runtime-equivalence tests compare traces across
+execution engines.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "TaskSpan",
     "StageSpan",
     "JobSpan",
-    "Tracer",
     "canonical_trace",
     "job_emitted_bytes",
 ]
@@ -187,34 +187,6 @@ class JobSpan:
             "wall_seconds": self.wall_seconds,
             "simulated_seconds": self.simulated_seconds,
             "stages": [stage.to_dict() for stage in self.stages],
-        }
-
-
-class Tracer:
-    """Collects the job spans of one algorithm invocation.
-
-    A runtime with a tracer attached records every job it runs; a
-    :class:`~repro.mapreduce.cluster.SimulatedCluster` additionally
-    exposes the spans of its run log through ``RunLog.trace()``, which
-    builds the same document from the ``JobResult.trace`` fields.
-    """
-
-    def __init__(self) -> None:
-        self.jobs: list[JobSpan] = []
-        self.driver_seconds: float = 0.0
-        self.meta: dict[str, Any] = {}
-
-    def record(self, span: JobSpan) -> None:
-        """Append one finished job span."""
-        self.jobs.append(span)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Render the versioned trace document (``schema`` = 2)."""
-        return {
-            "schema": TRACE_SCHEMA_VERSION,
-            "driver_seconds": self.driver_seconds,
-            "meta": dict(self.meta),
-            "jobs": [span.to_dict() for span in self.jobs],
         }
 
 

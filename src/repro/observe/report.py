@@ -1,9 +1,9 @@
 """Human-readable summaries of trace documents.
 
-Turns the JSON trace (:meth:`repro.mapreduce.cluster.RunLog.trace` or a
-:class:`~repro.mapreduce.tracing.Tracer` dump) into per-job / per-stage
-tables in the same monospace style the bench harness prints, plus a
-compact roll-up dict for embedding into ``BENCH_*.json`` measurements.
+Turns the JSON trace (:meth:`repro.mapreduce.cluster.RunLog.trace`) into
+per-job / per-stage tables in the same monospace style the bench harness
+prints, plus a compact roll-up dict for embedding into ``BENCH_*.json``
+measurements.
 """
 
 from __future__ import annotations

@@ -223,22 +223,6 @@ class ShardedSynopsisStore:
         merged.update(self.cache.counters())
         return merged
 
-    def _publish(self, series: _Series, version: SeriesVersion) -> None:
-        shard = self._shard_of(series.name)
-        with self._shard_locks[shard]:
-            series.current = version
-            self._buckets[shard][series.name] = series
-        with self._history_lock:
-            self._history.append(
-                {
-                    "series": version.name,
-                    "version": version.version,
-                    "digest": version.digest,
-                    "mode": version.stats.mode,
-                }
-            )
-        self._count(f"{version.stats.mode}_rebuilds")
-
     def history(self) -> list[dict[str, Any]]:
         """Chronological (series, version, digest, mode) publication log."""
         with self._history_lock:
@@ -271,13 +255,16 @@ class ShardedSynopsisStore:
         subtree_leaves: int = 1024,
         rho: float = 0.0,
     ) -> SeriesVersion:
-        """Register ``data`` under ``name`` and build version 1.
+        """Register ``data`` under ``name`` and publish its first version.
 
         ``tier="greedy"`` keeps ``budget`` coefficients; ``tier="dp"``
         pins an error target — ``epsilon`` directly, or derived from
         ``budget`` via :func:`~repro.core.thresholding.
-        serving_error_target` when omitted.  Re-creating a name replaces
-        the series (version numbering restarts).
+        serving_error_target` when omitted.  A new name starts at
+        version 1; re-creating a name replaces the series and continues
+        its numbering (see :meth:`_rebuild`), so a batch still reading
+        the replaced version cannot refill the cache under a key the new
+        series serves from.
         """
         values = as_finite_series(data)
         maintainer: GreedyMaintainer | DPMaintainer
@@ -314,29 +301,55 @@ class ShardedSynopsisStore:
             current=None,  # type: ignore[arg-type]  # published below before any reader can see it
         )
         self.cache.invalidate(name)
-        return self._rebuild(series, dirty=None)
+        published = self._rebuild(series, dirty=None)
+        assert published is not None  # a create replaces whatever is registered
+        return published
 
     def _rebuild(
         self, series: _Series, dirty: tuple[int, int] | None
-    ) -> SeriesVersion:
+    ) -> SeriesVersion | None:
+        """Build ``series`` and publish it as its name's next version.
+
+        The number is drawn under the shard lock from the version
+        registered under the name, so no ``(name, version)`` pair, the
+        reconstruction cache's key, ever names two synopses, however
+        creates and appends interleave.  An append (``series`` already
+        published) whose series was re-created while it built publishes
+        nothing and returns None.
+        """
         synopsis, stats = series.maintainer.build(series.buffer, dirty, self._cluster)
         guarantee = float(synopsis.meta["serving_guarantee"])
         synopsis.meta["series"] = series.name
         synopsis.meta["original_length"] = series.length
         synopsis.meta["max_abs_guarantee"] = guarantee
-        previous = series.current
-        version = 1 if previous is None else previous.version + 1
-        published = SeriesVersion(
-            name=series.name,
-            version=version,
-            tier=series.tier,
-            synopsis=synopsis,
-            length=series.length,
-            guarantee=guarantee,
-            digest=_digest(synopsis, series.length, guarantee),
-            stats=stats,
-        )
-        self._publish(series, published)
+        digest = _digest(synopsis, series.length, guarantee)
+        shard = self._shard_of(series.name)
+        with self._shard_locks[shard]:
+            registered = self._buckets[shard].get(series.name)
+            if series.current is not None and registered is not series:
+                return None
+            published = SeriesVersion(
+                name=series.name,
+                version=1 if registered is None else registered.current.version + 1,
+                tier=series.tier,
+                synopsis=synopsis,
+                length=series.length,
+                guarantee=guarantee,
+                digest=digest,
+                stats=stats,
+            )
+            series.current = published
+            self._buckets[shard][series.name] = series
+        with self._history_lock:
+            self._history.append(
+                {
+                    "series": published.name,
+                    "version": published.version,
+                    "digest": published.digest,
+                    "mode": stats.mode,
+                }
+            )
+        self._count(f"{stats.mode}_rebuilds")
         return published
 
     def append(
@@ -349,28 +362,32 @@ class ShardedSynopsisStore:
         ``full_rebuild=True``, the differential baseline) rebuilds from
         scratch.  Concurrent appends to the same series serialize;
         readers continue on the previous version until the atomic swap.
+        An append that a re-create of ``name`` overtakes is applied again
+        to the re-created series.
         """
         fresh = as_finite_series(values)
-        series = self._series(name)
-        with series.lock:
-            old_length = series.length
-            new_length = old_length + int(fresh.size)
-            if new_length <= series.buffer.shape[0]:
-                series.buffer[old_length:new_length] = fresh
-                dirty: tuple[int, int] | None = (old_length, new_length)
-            else:
-                grown = np.zeros(
-                    1 << (new_length - 1).bit_length(), dtype=np.float64
-                )
-                grown[:old_length] = series.buffer[:old_length]
-                grown[old_length:new_length] = fresh
-                series.buffer = grown
-                dirty = None
-            series.length = new_length
-            if full_rebuild:
-                dirty = None
-            self._count("appends")
-            published = self._rebuild(series, dirty)
+        published: SeriesVersion | None = None
+        while published is None:
+            series = self._series(name)
+            with series.lock:
+                old_length = series.length
+                new_length = old_length + int(fresh.size)
+                if new_length <= series.buffer.shape[0]:
+                    series.buffer[old_length:new_length] = fresh
+                    dirty: tuple[int, int] | None = (old_length, new_length)
+                else:
+                    grown = np.zeros(
+                        1 << (new_length - 1).bit_length(), dtype=np.float64
+                    )
+                    grown[:old_length] = series.buffer[:old_length]
+                    grown[old_length:new_length] = fresh
+                    series.buffer = grown
+                    dirty = None
+                series.length = new_length
+                if full_rebuild:
+                    dirty = None
+                published = self._rebuild(series, dirty)
+        self._count("appends")
         self.cache.invalidate(name)
         return published
 

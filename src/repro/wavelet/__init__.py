@@ -1,7 +1,6 @@
 """Haar wavelet substrate: transform, error tree, synopses, and metrics."""
 
 from repro.wavelet.error_tree import (
-    ErrorTree,
     data_path,
     incoming_value,
     leaf_sign,
@@ -21,19 +20,6 @@ from repro.wavelet.metrics import (
     signed_errors,
 )
 from repro.wavelet.synopsis import WaveletSynopsis
-from repro.wavelet.synopsis2d import (
-    WaveletSynopsis2D,
-    conventional_synopsis_2d,
-    greedy_abs_2d,
-)
-from repro.wavelet.transform2d import (
-    haar_transform_2d,
-    inverse_haar_transform_2d,
-    normalized_significance_2d,
-    range_weights,
-    reconstruct_cell,
-    reconstruct_rectangle_sum,
-)
 from repro.wavelet.transform import (
     coefficient_level,
     coefficient_levels,
@@ -46,17 +32,7 @@ from repro.wavelet.transform import (
 )
 
 __all__ = [
-    "ErrorTree",
     "WaveletSynopsis",
-    "WaveletSynopsis2D",
-    "conventional_synopsis_2d",
-    "greedy_abs_2d",
-    "haar_transform_2d",
-    "inverse_haar_transform_2d",
-    "normalized_significance_2d",
-    "range_weights",
-    "reconstruct_cell",
-    "reconstruct_rectangle_sum",
     "DEFAULT_SANITY_BOUND",
     "coefficient_level",
     "coefficient_levels",

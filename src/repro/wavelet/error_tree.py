@@ -11,9 +11,10 @@ The error tree of an ``N``-point decomposition is a complete binary tree:
   ``d_i`` lies in the left sub-tree of ``c_j`` (or ``j == 0``) and ``-1``
   otherwise.
 
-This module provides both static navigation helpers (pure index arithmetic,
-no tree materialization) and the :class:`ErrorTree` convenience wrapper used
-by the centralized algorithms and the partitioning schemes.
+This module provides the navigation helpers as pure index arithmetic;
+no tree is ever materialized.  :class:`~repro.wavelet.synopsis.
+WaveletSynopsis` answers its point and range queries through them; the
+algorithms index coefficient arrays directly.
 """
 
 from __future__ import annotations
@@ -21,14 +22,10 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
+from numpy.typing import NDArray
 
 from repro.exceptions import InvalidInputError
-from repro.wavelet.transform import (
-    coefficient_level,
-    haar_transform,
-    is_power_of_two,
-)
+from repro.wavelet.transform import coefficient_level, is_power_of_two
 
 __all__ = [
     "node_level",
@@ -44,7 +41,6 @@ __all__ = [
     "range_sum_of",
     "reconstruct_range_sum",
     "subtree_nodes",
-    "ErrorTree",
 ]
 
 
@@ -249,59 +245,3 @@ def subtree_nodes(root: int, n: int) -> Iterator[int]:
                 next_frontier.append(2 * node + 1)
         frontier = next_frontier
 
-
-class ErrorTree:
-    """A materialized error tree: data, coefficients, and navigation.
-
-    Thin convenience wrapper used by the centralized algorithms; the
-    distributed algorithms work on index arithmetic plus per-partition
-    slices instead and never materialize a global tree.
-    """
-
-    def __init__(self, data: ArrayLike) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
-        if self.data.ndim != 1:
-            raise InvalidInputError("data must be one-dimensional")
-        self.n = int(self.data.shape[0])
-        if not is_power_of_two(self.n):
-            raise InvalidInputError(f"N={self.n} is not a power of two")
-        self.coefficients = haar_transform(self.data)
-
-    @property
-    def log_n(self) -> int:
-        """``log2(N)``, the number of detail levels."""
-        return self.n.bit_length() - 1
-
-    def level(self, index: int) -> int:
-        """Level of node ``c_index``."""
-        return node_level(index)
-
-    def leaf_range(self, index: int) -> tuple[int, int]:
-        """Half-open data range covered by node ``c_index``."""
-        return node_leaf_range(index, self.n)
-
-    def children(self, index: int) -> tuple[int, int] | None:
-        """Coefficient children of ``c_index`` (see :func:`node_children`)."""
-        return node_children(index, self.n)
-
-    def parent(self, index: int) -> int:
-        """Parent node of ``c_index``."""
-        return node_parent(index)
-
-    def path(self, leaf: int) -> list[int]:
-        """``path_leaf`` from the root down to ``d_leaf``."""
-        return data_path(leaf, self.n)
-
-    def sign(self, node: int, leaf: int) -> int:
-        """``delta`` of node ``c_node`` at data value ``d_leaf``."""
-        return leaf_sign(node, leaf, self.n)
-
-    def reconstruct_value(self, leaf: int, retained: Mapping[int, float] | None = None) -> float:
-        """Reconstruct ``d_leaf`` from ``retained`` (default: all coefficients)."""
-        source = self.coefficients if retained is None else retained
-        return reconstruct_value(source, leaf, self.n)
-
-    def range_sum(self, lo: int, hi: int, retained: Mapping[int, float] | None = None) -> float:
-        """Range sum ``d(lo:hi)`` from ``retained`` (default: all coefficients)."""
-        source = self.coefficients if retained is None else retained
-        return reconstruct_range_sum(source, lo, hi, self.n)

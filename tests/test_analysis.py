@@ -449,19 +449,6 @@ class TestHarness:
             "LS001", "LS002",
         }
 
-    def test_cli_writes_sarif(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("def f(x: list = []) -> list:\n    return x\n")
-        sarif_path = tmp_path / "out.sarif"
-        assert analysis_main([str(dirty), "--sarif-file", str(sarif_path)]) == 1
-        capsys.readouterr()
-        import json
-
-        log = json.loads(sarif_path.read_text())
-        assert log["version"] == "2.1.0"
-        results = log["runs"][0]["results"]
-        assert any(result["ruleId"] == "AH001" for result in results)
-
     def test_repo_source_tree_is_clean(self):
         repo_src = Path(__file__).resolve().parent.parent / "src"
         findings = analyze_paths([str(repo_src)], all_rules())

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,33 @@ class TestBuild:
             assert code == 0
             outs.append(json.loads(open(out).read())["coefficients"])
         assert outs[0] == outs[1]
+
+    def test_spill_dir_hosts_and_empties_external_shuffle_runs(self, tmp_path, capsys):
+        data = tmp_path / "data.npy"
+        np.save(data, np.random.default_rng(7).integers(0, 500, size=1024).astype(float))
+        build = ["build", str(data), "--budget", "64", "--algorithm", "dgreedy-abs"]
+        spills = tmp_path / "spills"
+        external = tmp_path / "external.json"
+        memory = tmp_path / "memory.json"
+        code = main(
+            [
+                *build, "--shuffle", "external", "--spill-buffer-bytes", "2048",
+                "--spill-dir", str(spills), "--output", str(external),
+            ]
+        )
+        assert code == 0
+        assert int(re.search(r"spills=(\d+)", capsys.readouterr().err).group(1)) > 0
+        assert spills.is_dir() and not any(spills.iterdir())
+        assert main([*build, "--output", str(memory)]) == 0
+        assert _untimed(external) == _untimed(memory)
+
+
+def _untimed(path: Path) -> dict:
+    """A synopsis JSON without its wall-clock ``meta.cluster`` fields."""
+    payload = json.loads(path.read_text())
+    for key in ("simulated_seconds", "driver_seconds"):
+        del payload["meta"]["cluster"][key]
+    return payload
 
 
 class TestQueryAndEvaluate:

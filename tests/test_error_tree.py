@@ -5,7 +5,6 @@ import pytest
 
 from repro.exceptions import InvalidInputError
 from repro.wavelet.error_tree import (
-    ErrorTree,
     data_path,
     leaf_sign,
     node_children,
@@ -154,23 +153,3 @@ class TestSubtreeNodes:
                 lo, hi = node_leaf_range(node, n)
                 assert root_lo <= lo and hi <= root_hi
 
-
-class TestErrorTreeClass:
-    def test_wraps_transform(self):
-        tree = ErrorTree(PAPER_DATA)
-        assert tree.coefficients.tolist() == PAPER_TRANSFORM.tolist()
-        assert tree.n == 8
-        assert tree.log_n == 3
-
-    def test_reconstruct_and_range(self):
-        tree = ErrorTree(PAPER_DATA)
-        assert tree.reconstruct_value(5) == pytest.approx(3.0)
-        assert tree.range_sum(3, 6) == pytest.approx(44.0)
-
-    def test_retained_override(self):
-        tree = ErrorTree(PAPER_DATA)
-        assert tree.reconstruct_value(5, retained={0: 7.0, 3: -3.0}) == pytest.approx(4.0)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(InvalidInputError):
-            ErrorTree([1.0, 2.0, 3.0])

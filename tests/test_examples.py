@@ -44,7 +44,3 @@ class TestExamples:
     def test_aqp_dashboard(self):
         output = run_example("aqp_dashboard.py")
         assert "Persisted 3 synopses" in output
-
-    def test_olap_cube_2d(self):
-        output = run_example("olap_cube_2d.py")
-        assert "Rectangle aggregates" in output

@@ -70,13 +70,13 @@ class TestAbsDifferential:
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(coeffs=_pow2_lists(finite, max_log=5))
     def test_stepwise_state_matches(self, coeffs):
+        # Each removal's error_after is the engine's state after that
+        # step; the scalar engine reads it back through current_error().
         vec = GreedyAbsTree(coeffs)
         ref = ScalarGreedyAbsTree(coeffs)
         assert vec.current_error() == ref.current_error()
-        while len(ref):
-            assert vec.remove_next() == ref.remove_next()
-            assert vec.current_error() == ref.current_error()
-        assert len(vec) == 0
+        assert_runs_identical(vec.run_to_exhaustion(), ref.run_to_exhaustion())
+        assert vec.current_error() == ref.current_error()
 
     def test_ties_break_on_node_id(self):
         # All-equal coefficients force heavy priority ties at every step.
@@ -122,10 +122,8 @@ class TestRelDifferential:
         vec = GreedyRelTree(coeffs, leaves)
         ref = ScalarGreedyRelTree(coeffs, leaves)
         assert vec.current_error() == ref.current_error()
-        while len(ref):
-            assert vec.remove_next() == ref.remove_next()
-            assert vec.current_error() == ref.current_error()
-        assert len(vec) == 0
+        assert_runs_identical(vec.run_to_exhaustion(), ref.run_to_exhaustion())
+        assert vec.current_error() == ref.current_error()
 
     def test_zero_leaves_hit_sanity_bound(self):
         # All denominators fall back to S; exercises the tiny-bound path.
@@ -170,10 +168,14 @@ class TestAverageRemovalPerformance:
         tree._remove_average(c0)
         average_time = time.perf_counter() - start
 
+        # The first 256 removals of a detail-only run, replayed through
+        # the same maintenance hook the discard loop calls.
+        first = greedy_abs_order(coeffs, include_average=False).removals[:256]
         detail_tree = GreedyAbsTree(coeffs, include_average=False)
         start = time.perf_counter()
-        for _ in range(256):
-            detail_tree.remove_next()
+        for removal in first:
+            detail_tree._valive[removal.node] = False
+            detail_tree._remove_detail(removal.node, removal.value)
         detail_time = time.perf_counter() - start
 
         assert average_time < detail_time, (
@@ -184,10 +186,7 @@ class TestAverageRemovalPerformance:
     def test_average_removal_result_still_exact(self):
         rng = np.random.default_rng(4)
         coeffs = rng.normal(0, 10, 1 << 8)
-        vec = GreedyAbsTree(coeffs)
-        ref = ScalarGreedyAbsTree(coeffs)
-        while len(ref):
-            assert vec.remove_next() == ref.remove_next()
+        assert_runs_identical(greedy_abs_order(coeffs), scalar_greedy_abs_order(coeffs))
 
 
 @pytest.mark.parametrize("include_average", [True, False])

@@ -24,12 +24,6 @@ class TestBasicOperations:
         heap.push(4, 1.0)
         assert [heap.pop()[0] for _ in range(3)] == [3, 4, 5]
 
-    def test_peek_does_not_remove(self):
-        heap = AddressableMinHeap()
-        heap.push(1, 2.0)
-        assert heap.peek() == (1, 2.0)
-        assert len(heap) == 1
-
     def test_contains_and_len(self):
         heap = AddressableMinHeap()
         assert len(heap) == 0
@@ -37,25 +31,16 @@ class TestBasicOperations:
         assert 7 in heap and 8 not in heap
         assert len(heap) == 1
 
-    def test_empty_pop_and_peek_raise(self):
+    def test_empty_pop_raises(self):
         heap = AddressableMinHeap()
         with pytest.raises(IndexError):
             heap.pop()
-        with pytest.raises(IndexError):
-            heap.peek()
 
     def test_duplicate_push_rejected(self):
         heap = AddressableMinHeap()
         heap.push(1, 1.0)
         with pytest.raises(ValueError):
             heap.push(1, 2.0)
-
-    def test_priority_lookup(self):
-        heap = AddressableMinHeap()
-        heap.push(1, 4.5)
-        assert heap.priority(1) == 4.5
-        with pytest.raises(KeyError):
-            heap.priority(2)
 
 
 class TestUpdates:
@@ -77,92 +62,6 @@ class TestUpdates:
         heap = AddressableMinHeap()
         with pytest.raises(KeyError):
             heap.update(1, 1.0)
-
-    def test_push_or_update(self):
-        heap = AddressableMinHeap()
-        heap.push_or_update(1, 5.0)
-        heap.push_or_update(1, 2.0)
-        assert heap.pop() == (1, 2.0)
-
-    def test_remove_middle_item(self):
-        heap = AddressableMinHeap()
-        for i, p in enumerate([5.0, 3.0, 8.0, 1.0]):
-            heap.push(i, p)
-        heap.remove(1)
-        assert 1 not in heap
-        assert [heap.pop()[0] for _ in range(3)] == [3, 0, 2]
-
-    def test_remove_missing_raises(self):
-        heap = AddressableMinHeap()
-        with pytest.raises(KeyError):
-            heap.remove(42)
-
-
-class TestUpdateMany:
-    def test_empty_batch_is_noop(self):
-        heap = AddressableMinHeap()
-        heap.push(1, 1.0)
-        heap.update_many([])
-        assert heap.peek() == (1, 1.0)
-
-    def test_small_batch_matches_sequential_updates(self):
-        heap = AddressableMinHeap()
-        for i in range(64):
-            heap.push(i, float(i))
-        heap.update_many([(5, 100.0), (60, -0.5)])
-        assert heap.pop() == (60, -0.5)
-        assert heap.priority(5) == 100.0
-
-    def test_large_batch_takes_heapify_path(self):
-        rng = random.Random(7)
-        heap = AddressableMinHeap()
-        reference = {}
-        for i in range(100):
-            p = rng.uniform(0, 100)
-            heap.push(i, p)
-            reference[i] = p
-        batch = [(i, rng.uniform(0, 100)) for i in range(100)]
-        heap.update_many(batch)
-        reference.update(dict(batch))
-        drained = [heap.pop() for _ in range(100)]
-        expected = sorted(reference.items(), key=lambda kv: (kv[1], kv[0]))
-        assert drained == [(i, p) for i, p in expected]
-
-    def test_duplicate_ids_last_wins(self):
-        heap = AddressableMinHeap()
-        for i in range(4):
-            heap.push(i, 10.0)
-        heap.update_many([(2, 5.0), (2, 1.0), (0, 3.0), (1, 2.0), (3, 4.0)])
-        assert heap.pop() == (2, 1.0)
-        assert heap.pop() == (1, 2.0)
-
-    def test_missing_item_raises(self):
-        heap = AddressableMinHeap()
-        heap.push(1, 1.0)
-        with pytest.raises(KeyError):
-            heap.update_many([(1, 2.0), (99, 3.0)])
-
-    def test_batched_and_sequential_agree_randomized(self):
-        rng = random.Random(13)
-        a = AddressableMinHeap()
-        b = AddressableMinHeap()
-        for i in range(200):
-            p = rng.uniform(0, 100)
-            a.push(i, p)
-            b.push(i, p)
-        for _ in range(20):
-            k = rng.randrange(1, 150)
-            ids = rng.sample(range(200), k)
-            batch = [(i, rng.uniform(0, 100)) for i in ids if i in a]
-            a.update_many(batch)
-            for item, priority in batch:
-                b.update(item, priority)
-            for _ in range(rng.randrange(0, 5)):
-                if len(a):
-                    assert a.pop() == b.pop()
-        while len(a):
-            assert a.pop() == b.pop()
-        assert len(b) == 0
 
 
 class TestRandomizedAgainstReference:

@@ -30,6 +30,7 @@ from repro.core.dp_framework import dm_haar_space
 from repro.core.thresholding import ALGORITHMS, build_synopsis
 from repro.data.loader import as_finite_series, pad_to_power_of_two
 from repro.exceptions import InvalidInputError
+from repro.mapreduce.hdfs import FileDataset
 from repro.serving import ShardedSynopsisStore
 from repro.wavelet.metrics import max_rel_error
 
@@ -122,6 +123,30 @@ def test_cli_build_reports_non_finite_input(tmp_path, capsys):
     data.write_text("1.0 2.0 nan 4.0\n")
     assert cli_main(["build", str(data), "--budget", "2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_file_dataset_rejects_non_finite_values(tmp_path, bad):
+    # The bad value sits past the first scan chunk, at the very end.
+    values = np.arange(float(1 << 17))
+    values[-1] = bad
+    path = tmp_path / "data.npy"
+    np.save(path, values)
+    with pytest.raises(InvalidInputError, match=f"finite; found {bad} at index {values.size - 1}"):
+        FileDataset(path)
+
+
+def test_cli_file_backed_build_reports_non_finite_input(tmp_path, capsys):
+    values = np.arange(1024.0)
+    values[-1] = math.nan
+    path = tmp_path / "data.npy"
+    np.save(path, values)
+    argv = ["build", str(path), "--budget", "32", "--algorithm", "dgreedy-abs"]
+    assert cli_main([*argv, "--file-backed"]) == 1
+    file_backed = capsys.readouterr().err
+    assert "error: data must be finite; found nan at index 1023" in file_backed
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == file_backed
 
 
 @pytest.mark.parametrize("bound", [math.nan, math.inf])

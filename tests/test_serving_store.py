@@ -134,6 +134,49 @@ class TestReconstructionCache:
         store.point("s", 2)  # rebuilt under the new version key
         assert store.counters()["cache_misses"] == 2
 
+    def test_recreate_mid_batch_never_serves_the_replaced_series(self, monkeypatch):
+        # A batch resolves its snapshot first; re-creating the series
+        # while the batch runs must not let the batch's cache fill be
+        # served to readers of the new series.
+        store = ShardedSynopsisStore(cache_entries=8, segment_leaves=8)
+        store.create("a", np.full(64, 100.0), budget=8, base_leaves=8)
+        answer = store._answer
+
+        def recreate_then_answer(query, snapshot):
+            store.create("a", np.zeros(64), budget=8, base_leaves=8)
+            return answer(query, snapshot)
+
+        monkeypatch.setattr(store, "_answer", recreate_then_answer)
+        [stale] = store.batch([Query("point", "a", index=3)])
+        monkeypatch.undo()
+        assert stale.value == 100.0  # answered from the snapshot it took
+        fresh = store.batch([Query("point", "a", index=3)])[0]
+        assert (fresh.value, fresh.lower, fresh.upper) == (0.0, 0.0, 0.0)
+        assert fresh.version == stale.version + 1
+
+    def test_append_overtaken_by_a_recreate_lands_on_the_new_series(self):
+        # The re-create publishes while the append builds; the append must
+        # neither publish the replaced series back nor reuse a version.
+        store = ShardedSynopsisStore(cache_entries=8, segment_leaves=8)
+        store.create("a", np.full(64, 100.0), budget=8, base_leaves=8)
+        maintainer = store._series("a").maintainer
+        build = maintainer.build
+
+        def build_then_recreate(*args, **kwargs):
+            built = build(*args, **kwargs)
+            maintainer.build = build
+            store.create("a", np.zeros(64), budget=8, base_leaves=8)
+            return built
+
+        maintainer.build = build_then_recreate
+        published = store.append("a", [5.0])
+        replay = ShardedSynopsisStore(cache_entries=8, segment_leaves=8)
+        replay.create("a", np.zeros(64), budget=8, base_leaves=8)
+        expected = replay.append("a", [5.0])
+        assert [entry["version"] for entry in store.history()] == [1, 2, 3]
+        assert store.snapshot("a") is published
+        assert (published.length, published.digest) == (expected.length, expected.digest)
+
     def test_eviction_under_small_budget_still_answers_correctly(self):
         store = ShardedSynopsisStore(cache_entries=2, segment_leaves=4)
         data = np.arange(64.0)

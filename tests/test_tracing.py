@@ -30,7 +30,6 @@ from repro.mapreduce import (
     ProcessPoolRuntime,
     ShuffleConfig,
     SimulatedCluster,
-    Tracer,
     block_splits,
     canonical_trace,
     job_emitted_bytes,
@@ -78,10 +77,9 @@ def data_and_splits(n: int = 256, split: int = 32):
 
 
 def run_traced(runtime) -> dict:
-    tracer = Tracer()
-    runtime.tracer = tracer
-    runtime.run(TraceSum(), data_and_splits())
-    return tracer.to_dict()
+    cluster = SimulatedCluster(runtime=runtime)
+    cluster.run_job(TraceSum(), data_and_splits())
+    return cluster.log.trace()
 
 
 class TestTraceEquivalence:
@@ -163,10 +161,9 @@ class TestTraceEquivalence:
         counters = {}
         stats = {}
         for variant, runtime in variants.items():
-            tracer = Tracer()
-            runtime.tracer = tracer
-            result = runtime.run(TraceSum(), data_and_splits())
-            traces[variant] = canonical_trace(tracer.to_dict())
+            cluster = SimulatedCluster(runtime=runtime)
+            result = cluster.run_job(TraceSum(), data_and_splits())
+            traces[variant] = canonical_trace(cluster.log.trace())
             outputs[variant] = result.output
             counters[variant] = result.counters.as_dict()
             stats[variant] = result.shuffle_stats
