@@ -28,15 +28,11 @@ from repro.algos.minhaarspace import (
     MRow,
     approx_params,
     combine_rows,
-    combine_rows_restricted,
     compute_subtree_rows,
-    compute_subtree_rows_restricted,
     effective_delta,
     finalize_root,
-    finalize_root_restricted,
     leaf_row,
     min_haar_space,
-    min_haar_space_restricted,
     traceback_subtree,
 )
 
@@ -50,13 +46,10 @@ __all__ = [
     "Removal",
     "approx_params",
     "combine_rows",
-    "combine_rows_restricted",
     "compute_subtree_rows",
-    "compute_subtree_rows_restricted",
     "effective_delta",
     "conventional_synopsis",
     "finalize_root",
-    "finalize_root_restricted",
     "greedy_abs",
     "greedy_abs_order",
     "greedy_rel",
@@ -66,7 +59,6 @@ __all__ = [
     "largest_coefficient",
     "leaf_row",
     "min_haar_space",
-    "min_haar_space_restricted",
     "top_b_indices",
     "traceback_subtree",
 ]

@@ -74,6 +74,7 @@ sequences, differential-tested under Hypothesis.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heappushpop
 from typing import NamedTuple
@@ -128,6 +129,19 @@ class GreedyRun:
             if error <= best_error:
                 best_step, best_error = step, error
         return best_step, best_error
+
+
+def _packed_keys(
+    priorities: NDArray[np.float64], ids: Iterable[int], id_bits: int
+) -> list[int]:
+    """Queue keys ``(float64_bits(priority) << id_bits) | id``, as Python ints.
+
+    The shift must not run in numpy: an int64 shift by ``id_bits`` wraps
+    for every positive double, and a wrapped key never equals the key
+    the discard loop computes for the same node.
+    """
+    bits = (priorities + 0.0).view(np.int64).tolist()
+    return [(b << id_bits) | i for b, i in zip(bits, ids)]
 
 
 class GreedyEngine:
@@ -188,8 +202,7 @@ class GreedyEngine:
         self._minstored = ma.copy()
         self._vms = memoryview(self._minstored)
         start = 0 if include_average else 1
-        ids = np.arange(start, m, dtype=np.int64)
-        keys = (((ma[start:] + 0.0).view(np.int64) << id_bits) | ids).tolist()
+        keys = _packed_keys(ma[start:], range(start, m), id_bits)
         heapify(keys)
         self._heap = keys
         self._push_mask = np.empty(m, dtype=bool)
@@ -210,9 +223,10 @@ class GreedyEngine:
             vms = self._vms
             heap = self._heap
             vals = ma_seg[idx]
-            keys = ((vals + 0.0).view(np.int64) << self._id_bits) | (idx + a)
-            for off, v, key in zip(idx.tolist(), vals.tolist(), keys.tolist()):
-                vms[a + off] = v
+            ids = (idx + a).tolist()
+            keys = _packed_keys(vals, ids, self._id_bits)
+            for i, v, key in zip(ids, vals.tolist(), keys):
+                vms[i] = v
                 heappush(heap, key)
 
     def run_to_exhaustion(self) -> GreedyRun:
@@ -251,7 +265,7 @@ class GreedyEngine:
                 ids = self._alive.nonzero()[0]
                 vals = self._ma_arr[ids] + 0.0
                 self._minstored[ids] = vals
-                heap = ((vals.view(np.int64) << id_bits) | ids).tolist()
+                heap = _packed_keys(vals, ids.tolist(), id_bits)
                 heapify(heap)
                 self._heap = heap
             key = heappop(heap)

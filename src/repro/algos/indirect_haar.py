@@ -1,8 +1,9 @@
 """IndirectHaar: answering Problem 1 through the dual DP (Algorithm 2).
 
 The primal problem (budget ``B``, minimize max-abs error) is solved by
-binary search over the error bound: each probe runs MinHaarSpace (or its
-distributed twin DMHaarSpace — the solver is injected) and compares the
+binary search over the error bound: each probe runs MinHaarSpace (or, in
+:func:`~repro.core.dindirect.d_indirect_haar`, its distributed twin
+DMHaarSpace, passed to :func:`indirect_haar_search`) and compares the
 resulting synopsis size against ``B``.
 
 The search brackets are the paper's (Algorithm 2, lines 1-2): the error of
@@ -179,25 +180,20 @@ def indirect_haar(
     data: ArrayLike,
     budget: int,
     delta: float,
-    solver: Solver | None = None,
     max_iterations: int = 48,
-    restricted: bool = False,
     rho: float = 0.0,
 ) -> WaveletSynopsis:
     """Centralized IndirectHaar: best max-abs synopsis within ``budget``.
 
-    ``solver`` defaults to centralized MinHaarSpace over ``data``
-    (unrestricted, as the paper's footnote 2; ``restricted=True`` swaps in
-    the classic restricted search space); the distributed driver passes
-    DMHaarSpace instead.
+    Every probe runs centralized MinHaarSpace over ``data``, which
+    searches unrestricted coefficient values (the paper's footnote 2).
 
     ``rho > 0`` answers every probe with the approximate DP tier
     (:func:`repro.algos.minhaarspace.approx_params`): the synopsis still
     respects ``budget``, and because each probe at bound ``e`` achieves
     error at most ``(1 + rho) * e``, the search's winner has error at
     most ``(1 + rho) * (E_exact + delta)`` where ``E_exact`` is the
-    exact search's result.  An explicit ``solver`` is called as given,
-    so it must apply ``rho`` itself.
+    exact search's result.
     """
     check_dp_params(delta, rho)
     values = np.asarray(data, dtype=np.float64)
@@ -210,17 +206,8 @@ def indirect_haar(
         return conventional
     error_high = conventional.max_abs_error(values)
 
-    if solver is None:
-        if restricted:
-            from repro.algos.minhaarspace import min_haar_space_restricted
-
-            solver = lambda epsilon: min_haar_space_restricted(  # noqa: E731
-                values, epsilon, delta, rho=rho
-            )
-        else:
-            solver = lambda epsilon: min_haar_space(  # noqa: E731
-                values, epsilon, delta, rho=rho
-            )
+    def solver(epsilon: float) -> DualSolution:
+        return min_haar_space(values, epsilon, delta, rho=rho)
 
     best, runs = indirect_haar_search(
         solver,

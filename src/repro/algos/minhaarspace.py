@@ -29,7 +29,7 @@ distributed layer instead of from recursion.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,17 +51,13 @@ __all__ = [
     "leaf_rows",
     "combine_rows",
     "combine_rows_scalar",
-    "combine_rows_restricted",
-    "combine_rows_restricted_scalar",
     "compute_data_subtree_rows",
     "compute_subtree_rows",
-    "compute_subtree_rows_restricted",
     "data_pair_rows",
     "traceback_subtree",
     "finalize_root",
     "max_row_entries",
     "min_haar_space",
-    "min_haar_space_restricted",
 ]
 
 #: Count stored at infeasible row entries: far above any real count, and
@@ -320,8 +316,9 @@ def leaf_rows(values: ArrayLike, epsilon: float, delta: float) -> list[MRow]:
     """Rows of a whole batch of data leaves (one :func:`leaf_row` each).
 
     The grid bounds of all rows are computed in one vectorized pass.  The
-    restricted DP starts from these rows; the unrestricted DP builds its
-    bottom level straight from the data (:func:`data_pair_rows`).
+    DP builds its bottom level straight from the data
+    (:func:`data_pair_rows`); leaf rows serve a one-point tree and the
+    kernels' reference tests.
     """
     batch, starts, stops = _leaf_domains(values, epsilon, delta)
     return [
@@ -335,7 +332,6 @@ def _build_row(
     counts: NDArray[np.int64],
     errors: NDArray[np.float64],
     choices: NDArray[np.int64],
-    infeasible_message: str,
 ) -> MRow:
     """Finish a combined row: canonicalize infeasible entries and trim.
 
@@ -343,12 +339,12 @@ def _build_row(
     scalar and windowed kernels funnel through here so infeasible entries
     are represented identically (``INFEASIBLE_COUNT`` / ``inf`` / ``-1``)
     regardless of which kernel produced them.  Fringe infeasibility is
-    trimmed; interior holes (non-contiguous restricted domains) stay
-    explicit so parents skip them.
+    trimmed; an interior infeasible entry stays explicit so parents skip
+    it.
     """
     feasible = np.isfinite(errors)
     if not feasible.any():
-        raise InfeasibleErrorBound(infeasible_message)
+        raise InfeasibleErrorBound("no feasible incoming value for combined row")
     counts = np.where(feasible, counts, INFEASIBLE_COUNT).astype(np.int32)
     choices = np.where(feasible, choices, -1)
     first = int(np.argmax(feasible))
@@ -394,9 +390,7 @@ def combine_rows(
     else:
         chosen = _combine_kernel_windowed
     counts, errors, choices = chosen(left, right, v_start, v_stop, epsilon, delta)
-    return _build_row(
-        v_start, counts, errors, choices, "no feasible incoming value for combined row"
-    )
+    return _build_row(v_start, counts, errors, choices)
 
 
 def combine_rows_scalar(left: MRow, right: MRow, epsilon: float, delta: float) -> MRow:
@@ -407,9 +401,7 @@ def combine_rows_scalar(left: MRow, right: MRow, epsilon: float, delta: float) -
     counts, errors, choices = _combine_kernel_scalar(
         left, right, v_start, v_stop, epsilon, delta
     )
-    return _build_row(
-        v_start, counts, errors, choices, "no feasible incoming value for combined row"
-    )
+    return _build_row(v_start, counts, errors, choices)
 
 
 def _combine_kernel_scalar(
@@ -652,110 +644,10 @@ def data_pair_rows(values: ArrayLike, epsilon: float, delta: float) -> list[MRow
     return rows
 
 
-def _restricted_candidates(
-    left: MRow, right: MRow, z_offset: int
-) -> tuple[list[tuple[int, int]], list[int], list[int], int, int]:
-    candidates: list[tuple[int, int]] = [(0, 0)]  # (z grid offset, stored count)
-    if z_offset != 0:
-        candidates.append((z_offset, 1))
-    starts = []
-    ends = []
-    for z, _ in candidates:
-        # v feasible for this z when v+z in left domain and v-z in right.
-        starts.append(max(left.start - z, right.start + z))
-        ends.append(min(left.end - z, right.end + z))
-    v_start = min(starts)
-    v_stop = max(ends)
-    if v_stop < v_start:
-        raise InfeasibleErrorBound(
-            "empty restricted domain (quantization too coarse for this epsilon)"
-        )
-    return candidates, starts, ends, v_start, v_stop
-
-
-def combine_rows_restricted(
-    left: MRow, right: MRow, z_offset: int, epsilon: float, delta: float
-) -> MRow:
-    """Combine child rows when the node may only keep its own coefficient.
-
-    The *restricted* variant of the DP: at each node the choice is binary —
-    drop the coefficient (``z = 0``) or keep its (grid-snapped) Haar value
-    ``z = z_offset * delta``.  This is the classic restricted-synopsis
-    search space; with the same grid it can never use fewer coefficients
-    than the unrestricted :func:`combine_rows` (tested).
-
-    Both candidates are laid out as rows of one stacked score matrix and
-    resolved by a single ``argmin`` (``z = 0`` wins ties, matching the
-    sequential strictly-better update of the scalar reference).
-    """
-    candidates, starts, ends, v_start, v_stop = _restricted_candidates(
-        left, right, z_offset
-    )
-    weight = _lexicographic_weight(epsilon, delta)
-    width = v_stop - v_start + 1
-    stacked_counts = np.full((len(candidates), width), INFEASIBLE_COUNT, dtype=np.int64)
-    stacked_errors = np.full((len(candidates), width), np.inf, dtype=np.float64)
-    for row, ((z, stored), lo, hi) in enumerate(zip(candidates, starts, ends)):
-        if hi < lo:
-            continue
-        span = slice(lo - v_start, hi - v_start + 1)
-        lseg = slice(lo + z - left.start, hi + z - left.start + 1)
-        rseg = slice(lo - z - right.start, hi - z - right.start + 1)
-        stacked_counts[row, span] = (
-            left.counts[lseg].astype(np.int64) + right.counts[rseg] + stored
-        )
-        stacked_errors[row, span] = np.maximum(left.errors[lseg], right.errors[rseg])
-
-    scores = stacked_counts * weight + stacked_errors
-    pick = np.argmin(scores, axis=0)
-    columns = np.arange(width, dtype=np.int64)
-    z_of = np.array([z for z, _ in candidates], dtype=np.int64)
-    counts = stacked_counts[pick, columns]
-    errors = stacked_errors[pick, columns]
-    choices = np.arange(v_start, v_stop + 1, dtype=np.int64) + z_of[pick]
-    return _build_row(
-        v_start, counts, errors, choices, "no feasible incoming value for restricted row"
-    )
-
-
-def combine_rows_restricted_scalar(
-    left: MRow, right: MRow, z_offset: int, epsilon: float, delta: float
-) -> MRow:
-    """Sequential per-candidate restricted combine (differential reference)."""
-    candidates, starts, ends, v_start, v_stop = _restricted_candidates(
-        left, right, z_offset
-    )
-    weight = _lexicographic_weight(epsilon, delta)
-    width = v_stop - v_start + 1
-    counts = np.full(width, INFEASIBLE_COUNT, dtype=np.int64)
-    errors = np.full(width, np.inf, dtype=np.float64)
-    choices = np.full(width, -1, dtype=np.int64)
-    scores = np.full(width, np.inf, dtype=np.float64)
-
-    for (z, stored), lo, hi in zip(candidates, starts, ends):
-        if hi < lo:
-            continue
-        span = slice(lo - v_start, hi - v_start + 1)
-        lseg = slice(lo + z - left.start, hi + z - left.start + 1)
-        rseg = slice(lo - z - right.start, hi - z - right.start + 1)
-        cand_counts = left.counts[lseg].astype(np.int64) + right.counts[rseg] + stored
-        cand_errors = np.maximum(left.errors[lseg], right.errors[rseg])
-        cand_scores = cand_counts * weight + cand_errors
-        better = cand_scores < scores[span]
-        view = np.arange(lo, hi + 1, dtype=np.int64)
-        counts[span] = np.where(better, cand_counts, counts[span])
-        errors[span] = np.where(better, cand_errors, errors[span])
-        choices[span] = np.where(better, view + z, choices[span])
-        scores[span] = np.where(better, cand_scores, scores[span])
-
-    return _build_row(
-        v_start, counts, errors, choices, "no feasible incoming value for restricted row"
-    )
-
-
 def _run_levels(
     level: Sequence[MRow],
-    node_combine: Callable[[int, MRow, MRow], MRow],
+    epsilon: float,
+    delta: float,
     rows: list[MRow | None] | None = None,
 ) -> list[MRow | None]:
     """Walk a sub-tree level by level, bottom-up, in ascending node order.
@@ -778,7 +670,7 @@ def _run_levels(
     size = len(level) // 2
     while size >= 1:
         level = [
-            node_combine(size + i, level[2 * i], level[2 * i + 1]) for i in range(size)
+            combine_rows(level[2 * i], level[2 * i + 1], epsilon, delta) for i in range(size)
         ]
         rows[size : 2 * size] = level
         size //= 2
@@ -788,26 +680,6 @@ def _run_levels(
         # in which sub-trees are observed cannot matter.
         sanitizer.observe_kernel_rows(rows)
     return rows
-
-
-def compute_subtree_rows_restricted(
-    leaf_rows: list[MRow],
-    coefficients: ArrayLike,
-    epsilon: float,
-    delta: float,
-) -> list[MRow | None]:
-    """Restricted-variant DP over one sub-tree.
-
-    ``coefficients`` is the local coefficient array (slot ``j`` for local
-    node ``j``; slot 0 ignored), whose values are snapped to the grid.
-    """
-    local = np.asarray(coefficients, dtype=np.float64)
-
-    def node_combine(j: int, left: MRow, right: MRow) -> MRow:
-        z_offset = int(round(float(local[j]) / delta))
-        return combine_rows_restricted(left, right, z_offset, epsilon, delta)
-
-    return _run_levels(leaf_rows, node_combine)
 
 
 def compute_subtree_rows(
@@ -823,11 +695,7 @@ def compute_subtree_rows(
     M-row).  A sub-tree over data values goes through
     :func:`compute_data_subtree_rows` instead.
     """
-
-    def node_combine(j: int, left: MRow, right: MRow) -> MRow:
-        return combine_rows(left, right, epsilon, delta)
-
-    return _run_levels(leaf_rows, node_combine)
+    return _run_levels(leaf_rows, epsilon, delta)
 
 
 def compute_data_subtree_rows(
@@ -845,14 +713,10 @@ def compute_data_subtree_rows(
         raise InvalidInputError("leaf count must be a power of two")
     if m == 1:
         return [leaf_rows(batch, epsilon, delta)[0]]
-
-    def node_combine(j: int, left: MRow, right: MRow) -> MRow:
-        return combine_rows(left, right, epsilon, delta)
-
     pairs = data_pair_rows(batch, epsilon, delta)
     rows: list[MRow | None] = [None] * (m // 2)
     rows += pairs
-    return _run_levels(pairs, node_combine, rows)
+    return _run_levels(pairs, epsilon, delta, rows)
 
 
 def traceback_subtree(
@@ -901,81 +765,6 @@ def finalize_root(row: MRow, epsilon: float, delta: float) -> tuple[int, float, 
     scores = counts * weight + row.errors
     best = int(np.argmin(scores))
     return int(counts[best]), float(row.errors[best]), row.start + best
-
-
-def finalize_root_restricted(
-    row: MRow, average_offset: int, epsilon: float, delta: float
-) -> tuple[int, float, int]:
-    """Restricted finalize: ``c_0`` is either dropped or its snapped value."""
-    weight = _lexicographic_weight(epsilon, delta)
-    best: tuple[float, int, float, int] | None = None
-    for choice, stored in ((0, 0), (average_offset, 1)):
-        if not row.start <= choice <= row.end:
-            continue
-        count = int(row.counts[choice - row.start]) + stored
-        error = float(row.errors[choice - row.start])
-        if not np.isfinite(error):
-            continue
-        score = count * weight + error
-        if best is None or score < best[0]:
-            best = (score, count, error, choice)
-    if best is None:
-        raise InfeasibleErrorBound("no feasible restricted root choice")
-    return best[1], best[2], best[3]
-
-
-def min_haar_space_restricted(
-    data: ArrayLike,
-    epsilon: float,
-    delta: float,
-    rho: float = 0.0,
-) -> DualSolution:
-    """Restricted MinHaarSpace: minimum-size synopsis with error <= epsilon,
-    retaining only (grid-snapped) original Haar coefficient values.
-
-    Same dual problem as :func:`min_haar_space` over the classic restricted
-    search space; needs at least as many coefficients as the unrestricted
-    solver for the same bound (tested).  Demonstrates that the Section 4
-    framework's row algebra is not specific to one DP.  ``rho`` selects
-    the approximate tier (:func:`approx_params`).
-    """
-    from repro.wavelet.transform import haar_transform
-
-    values = np.asarray(data, dtype=np.float64)
-    if values.ndim != 1 or not is_power_of_two(values.shape[0]):
-        raise InvalidInputError("data length must be a power of two")
-    n = int(values.shape[0])
-    epsilon_dp, delta = approx_params(epsilon, delta, n, rho)
-    coefficients = haar_transform(values)
-
-    leaves = leaf_rows(values, epsilon_dp, delta)
-    rows = compute_subtree_rows_restricted(leaves, coefficients, epsilon_dp, delta)
-    root_row = rows[1] if n > 1 else rows[0]
-    assert root_row is not None
-    average_offset = int(round(float(coefficients[0]) / delta))
-    size, error, chosen = finalize_root_restricted(
-        root_row, average_offset, epsilon_dp, delta
-    )
-
-    retained: dict[int, float] = {}
-    if chosen != 0:
-        retained[0] = chosen * delta
-    if n > 1:
-        assignments, _ = traceback_subtree(rows, chosen, delta)
-        retained.update(assignments)
-
-    synopsis = WaveletSynopsis(
-        n=n,
-        coefficients=retained,
-        meta={
-            "algorithm": "MinHaarSpaceRestricted",
-            "epsilon": epsilon,
-            "delta": delta,
-            "rho": rho,
-            "max_abs_error": error,
-        },
-    )
-    return DualSolution(size=size, max_error=error, synopsis=synopsis, epsilon=epsilon)
 
 
 def min_haar_space(

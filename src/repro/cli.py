@@ -268,11 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="approximate DP tier coarsening knob: 0 is the exact DP, "
         "rho > 0 inflates the achieved error by at most (1 + rho) while "
-        "shrinking M-rows and shuffle bytes (indirect-haar*/dindirect-haar*)",
+        "shrinking M-rows and shuffle bytes (indirect-haar/dindirect-haar)",
     )
     build.add_argument(
         "--layer-plan",
-        help="DP band schedule (dindirect-haar* only): 'auto' asks the "
+        help="DP band schedule (dindirect-haar only): 'auto' asks the "
         "adaptive planner for the predicted-makespan minimizer, 'h=K' "
         "pins uniform height-K bands, 'H1,H2,...' (optionally "
         "'@driver') gives explicit bottom-up heights; omitted = the "

@@ -19,9 +19,6 @@ from repro.core.dgreedy import d_greedy_abs, d_greedy_rel
 from repro.core.dindirect import d_indirect_haar
 from repro.core.dp_framework import (
     LayeredDPDriver,
-    MinHaarSpaceDP,
-    MinHaarSpaceRestrictedDP,
-    RowDP,
     dm_haar_space,
     resolve_layer_plan,
 )
@@ -46,9 +43,6 @@ __all__ = [
     "Layer",
     "LayerPlan",
     "LayeredDPDriver",
-    "MinHaarSpaceDP",
-    "MinHaarSpaceRestrictedDP",
-    "RowDP",
     "SubtreeSpec",
     "WorkModel",
     "build_synopsis",

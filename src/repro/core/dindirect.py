@@ -104,7 +104,6 @@ def d_indirect_haar(
     cluster: SimulatedCluster | None = None,
     subtree_leaves: int = 1024,
     max_iterations: int = 48,
-    restricted: bool = False,
     rho: float = 0.0,
     layer_plan: LayerPlan | str | None = None,
 ) -> WaveletSynopsis:
@@ -187,7 +186,6 @@ def d_indirect_haar(
             cluster,
             subtree_leaves=subtree_leaves,
             construct=False,
-            restricted=restricted,
             rho=rho,
             layer_plan=plan,
         )
@@ -207,7 +205,6 @@ def d_indirect_haar(
         cluster,
         subtree_leaves=subtree_leaves,
         construct=True,
-        restricted=restricted,
         rho=rho,
         layer_plan=plan,
     )

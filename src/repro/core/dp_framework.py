@@ -1,7 +1,7 @@
 """The DP parallelization framework of Section 4 (Algorithm 1).
 
-Any thresholding DP whose per-node state is an *M-row* combining two child
-rows can be distributed with this driver:
+MinHaarSpace's per-node state is an *M-row* built from its two child
+rows, so this driver distributes it:
 
 1. the error tree is cut into bands of sub-trees by a
    :class:`~repro.core.partitioning.LayerPlan` — the classic fixed
@@ -11,9 +11,10 @@ rows can be distributed with this driver:
    finalize step instead of paying a MapReduce round per pass;
 2. one MapReduce job per layer, bottom-up: each map task runs the DP over
    its sub-tree (straight from raw data at the bottom layer,
-   :meth:`RowDP.data_rows`; from the previous layer's emitted root rows
-   above, :meth:`RowDP.subtree_rows`) and emits
-   ``(parent sub-tree, local root M-row)`` — the ``(j, M[j])`` key-values
+   :func:`~repro.algos.minhaarspace.compute_data_subtree_rows`; from the
+   previous layer's emitted root rows above,
+   :func:`~repro.algos.minhaarspace.compute_subtree_rows`) and emits
+   ``(parent sub-tree, (root, M-row))`` — the ``(j, M[j])`` key-values
    of the paper; the shuffle regroups rows under the next layer's
    sub-trees, preserving locality;
 3. the driver finalizes at the root, then a top-down pass of jobs re-enters
@@ -21,10 +22,9 @@ rows can be distributed with this driver:
    Section 4), forwarding each sub-tree leaf's chosen incoming value to
    the layer below.
 
-The DP itself is injected as a :class:`RowDP`; :class:`MinHaarSpaceDP`
-is the instantiation used by DMHaarSpace, and the framework's
-communication per layer is exactly Eq. 5 — ``|Layer_i|`` rows of
-``max |M[j]|`` bytes — because the rows themselves are what is shuffled.
+The framework's communication per layer is exactly Eq. 5 —
+``|Layer_i|`` rows of ``max |M[j]|`` bytes — because the rows themselves
+are what is shuffled.
 """
 
 from __future__ import annotations
@@ -39,13 +39,14 @@ from numpy.typing import ArrayLike
 from repro.algos.minhaarspace import (
     DualSolution,
     MRow,
+    approx_params,
     compute_data_subtree_rows,
     compute_subtree_rows,
     finalize_root,
-    leaf_rows,
+    min_haar_space,
     traceback_subtree,
 )
-from repro.exceptions import InfeasibleErrorBound, InvalidInputError
+from repro.exceptions import InvalidInputError
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.hdfs import InputSplit
 from repro.mapreduce.job import MapReduceJob
@@ -62,8 +63,6 @@ from repro.wavelet.transform import is_power_of_two
 
 __all__ = [
     "LAYER_RECORD_OVERHEAD",
-    "RowDP",
-    "MinHaarSpaceDP",
     "DPRowCache",
     "LayeredDPDriver",
     "dm_haar_space",
@@ -71,108 +70,10 @@ __all__ = [
 ]
 
 
-class RowDP:
-    """Interface of a row-based DP pluggable into the framework.
-
-    A bottom-layer sub-tree starts from its raw data (:meth:`data_rows`),
-    so a DP may build its lowest levels however its row structure
-    allows; every sub-tree above starts from the root rows of the
-    sub-trees below it (:meth:`subtree_rows`).  ``leaf_values`` lets
-    value-dependent DPs (the restricted variant) see the data under such
-    a sub-tree: child sub-tree *averages* — from which the sub-tree's own
-    Haar coefficients are computable locally, so locality is preserved.
-    """
-
-    def data_rows(self, values: ArrayLike) -> list[MRow | None]:
-        """Run the DP bottom-up over a sub-tree of raw data values."""
-        raise NotImplementedError
-
-    def subtree_rows(
-        self, leaf_rows: list[MRow], leaf_values: ArrayLike | None = None
-    ) -> list[MRow | None]:
-        """Run the DP bottom-up over a sub-tree of lower sub-trees' root rows."""
-        raise NotImplementedError
-
-    def finalize(self, root_row: MRow, overall_average: float = 0.0) -> tuple[int, float, int]:
-        """Close the recursion at ``c_0``: ``(cost, error, root choice)``."""
-        raise NotImplementedError
-
-    def traceback(self, rows: list[MRow | None], incoming: int) -> tuple[dict[int, float], list[int]]:
-        """Select coefficients in one sub-tree given its root's incoming value."""
-        raise NotImplementedError
-
-
-class MinHaarSpaceDP(RowDP):
-    """MinHaarSpace as a pluggable row DP (rows keyed by incoming value)."""
-
-    def __init__(self, epsilon: float, delta: float) -> None:
-        if delta <= 0:
-            raise InvalidInputError("delta must be strictly positive")
-        self.epsilon = float(epsilon)
-        self.delta = float(delta)
-
-    def data_rows(self, values: ArrayLike) -> list[MRow | None]:
-        return compute_data_subtree_rows(values, self.epsilon, self.delta)
-
-    def subtree_rows(
-        self, leaf_rows: list[MRow], leaf_values: ArrayLike | None = None
-    ) -> list[MRow | None]:
-        return compute_subtree_rows(leaf_rows, self.epsilon, self.delta)
-
-    def finalize(self, root_row: MRow, overall_average: float = 0.0) -> tuple[int, float, int]:
-        return finalize_root(root_row, self.epsilon, self.delta)
-
-    def traceback(self, rows: list[MRow | None], incoming: int) -> tuple[dict[int, float], list[int]]:
-        return traceback_subtree(rows, incoming, self.delta)
-
-
-class MinHaarSpaceRestrictedDP(RowDP):
-    """The restricted-synopsis DP as a second framework instantiation.
-
-    Each node may only keep its own (grid-snapped) Haar coefficient.  The
-    coefficient of every sub-tree node is computed locally from the
-    sub-tree's leaf values (raw data at the bottom layer, child averages
-    above), so the framework's locality-preserving partitioning carries
-    over unchanged — the demonstration that Section 4 is DP-agnostic.
-    """
-
-    def __init__(self, epsilon: float, delta: float) -> None:
-        if delta <= 0:
-            raise InvalidInputError("delta must be strictly positive")
-        self.epsilon = float(epsilon)
-        self.delta = float(delta)
-
-    def data_rows(self, values: ArrayLike) -> list[MRow | None]:
-        return self.subtree_rows(leaf_rows(values, self.epsilon, self.delta), values)
-
-    def subtree_rows(
-        self, leaf_rows: list[MRow], leaf_values: ArrayLike | None = None
-    ) -> list[MRow | None]:
-        from repro.algos.minhaarspace import compute_subtree_rows_restricted
-        from repro.wavelet.transform import haar_transform
-
-        if leaf_values is None:
-            raise InvalidInputError("the restricted DP needs the sub-tree leaf values")
-        local_coefficients = haar_transform(np.asarray(leaf_values, dtype=np.float64))
-        return compute_subtree_rows_restricted(
-            leaf_rows, local_coefficients, self.epsilon, self.delta
-        )
-
-    def finalize(self, root_row: MRow, overall_average: float = 0.0) -> tuple[int, float, int]:
-        from repro.algos.minhaarspace import finalize_root_restricted
-
-        average_offset = int(round(overall_average / self.delta))
-        return finalize_root_restricted(root_row, average_offset, self.epsilon, self.delta)
-
-    def traceback(self, rows: list[MRow | None], incoming: int) -> tuple[dict[int, float], list[int]]:
-        return traceback_subtree(rows, incoming, self.delta)
-
-
 @dataclass
 class _BottomUpResult:
     top_row: MRow
     row_store: dict[tuple[int, int], list]
-    overall_average: float
 
 
 @dataclass
@@ -181,10 +82,10 @@ class DPRowCache:
 
     ``rows`` is the driver-side row store keyed ``(layer index, sub-tree
     root)`` — the same mapping :meth:`LayeredDPDriver.bottom_up` has
-    always filled; ``emits`` keeps each sub-tree's upward emission (its
-    root M-row and leaf average) under the same key.  Both are pure
-    functions of the sub-tree's data and the DP parameters, so a cached
-    entry is bit-identical to what a from-scratch run would recompute —
+    always filled; ``emits`` keeps each sub-tree's upward emission, its
+    root M-row, under the same key.  Both are pure functions of the
+    sub-tree's data and the DP parameters, so a cached entry is
+    bit-identical to what a from-scratch run would recompute —
     the exactness argument of the serving layer's incremental rebuild
     (docs/SERVING.md).  Entries for sub-trees marked dirty are simply
     overwritten; the cache never needs explicit invalidation beyond
@@ -192,7 +93,7 @@ class DPRowCache:
     """
 
     rows: dict[tuple[int, int], list[MRow | None]] = field(default_factory=dict)
-    emits: dict[tuple[int, int], tuple[MRow, float]] = field(default_factory=dict)
+    emits: dict[tuple[int, int], MRow] = field(default_factory=dict)
 
     def clear(self) -> None:
         """Drop all cached state (the next build recomputes everything)."""
@@ -201,10 +102,10 @@ class DPRowCache:
 
 
 #: Serde bytes of one bottom-up layer record beyond its M-row payload:
-#: key (parent int) + value-tuple framing + sub-tree root int + mean
-#: float.  The Eq. 6 byte budgets (:mod:`repro.observe.bounds`) and the
-#: layer planner's shuffle cost price each record with it.
-LAYER_RECORD_OVERHEAD = record_size(0, (0, 0.0))
+#: key (parent int) + value-tuple framing + sub-tree root int.  The
+#: Eq. 6 byte budgets (:mod:`repro.observe.bounds`) and the layer
+#: planner's shuffle cost price each record with it.
+LAYER_RECORD_OVERHEAD = record_size(0, (0,))
 
 
 class _BottomUpLayerJob(MapReduceJob):
@@ -227,12 +128,14 @@ class _BottomUpLayerJob(MapReduceJob):
 
     def __init__(
         self,
-        dp: RowDP,
+        epsilon: float,
+        delta: float,
         layer: Layer,
         row_store: dict[tuple[int, int], list[MRow | None]],
         parent_leaf_count: int,
     ) -> None:
-        self.dp = dp
+        self.epsilon = epsilon
+        self.delta = delta
         self.layer = layer
         self.row_store = row_store
         self.parent_leaf_count = parent_leaf_count
@@ -242,17 +145,13 @@ class _BottomUpLayerJob(MapReduceJob):
     def map(self, split: InputSplit) -> Iterator[tuple[Any, Any]]:
         spec = split.meta["spec"]
         if self.layer.is_bottom:
-            leaf_values = np.asarray(split.values, dtype=np.float64)
-            rows = self.dp.data_rows(leaf_values)
+            rows = compute_data_subtree_rows(split.values, self.epsilon, self.delta)
         else:
-            leaf_values = np.asarray(split.meta["child_values"], dtype=np.float64)
-            rows = self.dp.subtree_rows(split.meta["child_rows"], leaf_values)
+            rows = compute_subtree_rows(split.meta["child_rows"], self.epsilon, self.delta)
         self.row_store[(self.layer.index, spec.root)] = rows
         root_row = rows[1] if len(rows) > 1 else rows[0]
         parent = spec.root // self.parent_leaf_count if not self.layer.is_top else 0
-        # The sub-tree average travels with the row: the layer above needs
-        # it to compute its own (value-dependent) node coefficients.
-        yield parent, (spec.root, root_row, float(np.mean(leaf_values)))
+        yield parent, (spec.root, root_row)
 
 
 class _TopDownLayerJob(MapReduceJob):
@@ -264,9 +163,9 @@ class _TopDownLayerJob(MapReduceJob):
     stage_label = "dp.traceback"
 
     def __init__(
-        self, dp: RowDP, layer: Layer, row_store: dict[tuple[int, int], list[MRow | None]]
+        self, delta: float, layer: Layer, row_store: dict[tuple[int, int], list[MRow | None]]
     ) -> None:
-        self.dp = dp
+        self.delta = delta
         self.layer = layer
         self.row_store = row_store
         self.name = f"dp-traceback-{layer.index}"
@@ -276,7 +175,7 @@ class _TopDownLayerJob(MapReduceJob):
         spec = split.meta["spec"]
         incoming = split.meta["incoming"]
         rows = self.row_store[(self.layer.index, spec.root)]
-        assignments, leaf_incomings = self.dp.traceback(rows, incoming)
+        assignments, leaf_incomings = traceback_subtree(rows, incoming, self.delta)
         for local_node, value in assignments.items():
             yield "coef", (local_to_global(spec.root, local_node), value)
         if not self.layer.is_bottom:
@@ -285,7 +184,7 @@ class _TopDownLayerJob(MapReduceJob):
 
 
 class LayeredDPDriver:
-    """Runs a :class:`RowDP` over the whole error tree via layered jobs.
+    """Runs MinHaarSpace at ``(epsilon, delta)`` over the whole error tree.
 
     The decomposition comes from a :class:`~repro.core.partitioning.LayerPlan`
     — pass ``plan`` explicitly (the adaptive planner's output, or any
@@ -293,21 +192,26 @@ class LayeredDPDriver:
     decomposition derived from ``subtree_leaves`` is used.  A plan whose
     top band is *driver-resident* runs that band's single ``c_1``
     sub-tree inside the driver (both passes), saving one MapReduce round
-    each way; the computation is the same ``subtree_rows``/``traceback``
-    call a map task would have made, so synopses are bit-identical
-    whatever the plan.
+    each way; the computation is the same row/traceback call a map task
+    would have made, so synopses are bit-identical whatever the plan.
+    ``epsilon`` and ``delta`` are the DP's own parameters, already
+    resolved by :func:`~repro.algos.minhaarspace.approx_params`.
     """
 
     def __init__(
         self,
-        dp: RowDP,
+        epsilon: float,
+        delta: float,
         cluster: SimulatedCluster,
         subtree_leaves: int = 1024,
         plan: LayerPlan | None = None,
     ) -> None:
+        if delta <= 0:
+            raise InvalidInputError("delta must be strictly positive")
         if not is_power_of_two(subtree_leaves) or subtree_leaves < 2:
             raise InvalidInputError("subtree_leaves must be a power of two >= 2")
-        self.dp = dp
+        self.epsilon = float(epsilon)
+        self.delta = float(delta)
         self.cluster = cluster
         self.subtree_leaves = subtree_leaves
         self.plan = plan
@@ -373,15 +277,15 @@ class LayeredDPDriver:
                 parent_leaf_count = 1
             else:
                 parent_leaf_count = layers[layer.index + 1].subtrees[0].leaf_count
-            job = _BottomUpLayerJob(self.dp, layer, row_store, parent_leaf_count)
+            job = _BottomUpLayerJob(
+                self.epsilon, self.delta, layer, row_store, parent_leaf_count
+            )
             result = self.cluster.run_job(job, splits)
-            for _parent, (child_root, row, average) in result.output:
-                cache.emits[(layer.index, child_root)] = (row, average)
+            for _parent, (child_root, row) in result.output:
+                cache.emits[(layer.index, child_root)] = row
             if layer.is_top:
-                top_row, overall_average = cache.emits[(layer.index, layer.subtrees[0].root)]
-                return _BottomUpResult(
-                    top_row=top_row, row_store=row_store, overall_average=overall_average
-                )
+                top_row = cache.emits[(layer.index, layer.subtrees[0].root)]
+                return _BottomUpResult(top_row=top_row, row_store=row_store)
             next_layer = layers[layer.index + 1]
             if not plan.is_distributed(next_layer.index):
                 # The driver-resident band reads the cached emissions.
@@ -390,17 +294,13 @@ class LayeredDPDriver:
             # (clean children come from the cache's prior emissions).
             splits = []
             for i, spec in enumerate(dirty_layers[next_layer.index]):
-                ordered = [cache.emits[(layer.index, root)] for root in spec.child_roots()]
+                child_rows = [cache.emits[(layer.index, root)] for root in spec.child_roots()]
                 splits.append(
                     InputSplit(
                         split_id=i,
                         offset=0,
                         values=np.empty(0),
-                        meta={
-                            "spec": spec,
-                            "child_rows": [row for row, _ in ordered],
-                            "child_values": [average for _, average in ordered],
-                        },
+                        meta={"spec": spec, "child_rows": child_rows},
                     )
                 )
         raise AssertionError("a layer plan always terminates in a top band")
@@ -408,19 +308,13 @@ class LayeredDPDriver:
     def _driver_bottom_up(self, layer: Layer, cache: DPRowCache) -> _BottomUpResult:
         """Run the driver-resident top band: same DP call, no MapReduce round."""
         spec = layer.subtrees[0]
-        ordered = [cache.emits[(layer.index - 1, root)] for root in spec.child_roots()]
-        child_rows = [row for row, _ in ordered]
-        child_values = np.asarray([average for _, average in ordered], dtype=np.float64)
+        child_rows = [cache.emits[(layer.index - 1, root)] for root in spec.child_roots()]
         with self.cluster.driver():
-            rows = self.dp.subtree_rows(child_rows, child_values)
+            rows = compute_subtree_rows(child_rows, self.epsilon, self.delta)
         cache.rows[(layer.index, spec.root)] = rows
         top_row = rows[1] if len(rows) > 1 else rows[0]
         assert top_row is not None
-        return _BottomUpResult(
-            top_row=top_row,
-            row_store=cache.rows,
-            overall_average=float(np.mean(child_values)),
-        )
+        return _BottomUpResult(top_row=top_row, row_store=cache.rows)
 
     def top_down(self, data_length: int, row_store: dict, root_incoming: int) -> dict[int, float]:
         """Select the synopsis coefficients layer by layer, top to bottom."""
@@ -433,8 +327,8 @@ class LayeredDPDriver:
                 # Driver-resident top band: traceback in the driver.
                 spec = layer.subtrees[0]
                 with self.cluster.driver():
-                    local_assignments, leaf_incomings = self.dp.traceback(
-                        row_store[(layer.index, spec.root)], incomings[spec.root]
+                    local_assignments, leaf_incomings = traceback_subtree(
+                        row_store[(layer.index, spec.root)], incomings[spec.root], self.delta
                     )
                 for local_node, value in local_assignments.items():
                     assignments[local_to_global(spec.root, local_node)] = float(value)
@@ -452,7 +346,7 @@ class LayeredDPDriver:
                         meta={"spec": spec, "incoming": incomings[spec.root]},
                     )
                 )
-            job = _TopDownLayerJob(self.dp, layer, row_store)
+            job = _TopDownLayerJob(self.delta, layer, row_store)
             result = self.cluster.run_job(job, splits)
             incomings = {}
             for kind, payload in result.output:
@@ -463,6 +357,32 @@ class LayeredDPDriver:
                     child_root, child_incoming = payload
                     incomings[int(child_root)] = int(child_incoming)
         return assignments
+
+    def solve(
+        self,
+        data: ArrayLike,
+        construct: bool = True,
+        cache: DPRowCache | None = None,
+        dirty_range: tuple[int, int] | None = None,
+    ) -> tuple[int, float, dict[int, float]]:
+        """Both passes: bottom-up, ``c_0`` in the driver, then top-down.
+
+        Returns ``(size, error, coefficients)``.  ``coefficients`` holds
+        the selected synopsis (``c_0`` under index 0 when kept), or
+        nothing when ``construct`` is False, which skips the top-down
+        pass.  ``cache`` and ``dirty_range`` are passed to
+        :meth:`bottom_up`.
+        """
+        values = np.asarray(data, dtype=np.float64)
+        result = self.bottom_up(values, cache, dirty_range)
+        with self.cluster.driver():
+            size, error, chosen = finalize_root(result.top_row, self.epsilon, self.delta)
+        coefficients: dict[int, float] = {}
+        if construct:
+            if chosen != 0:
+                coefficients[0] = chosen * self.delta
+            coefficients.update(self.top_down(len(values), result.row_store, chosen))
+        return size, error, coefficients
 
 
 def resolve_layer_plan(
@@ -496,7 +416,6 @@ def dm_haar_space(
     cluster: SimulatedCluster | None = None,
     subtree_leaves: int = 1024,
     construct: bool = True,
-    restricted: bool = False,
     rho: float = 0.0,
     layer_plan: LayerPlan | str | None = None,
 ) -> DualSolution:
@@ -505,9 +424,7 @@ def dm_haar_space(
     Semantically identical to :func:`repro.algos.minhaarspace.min_haar_space`
     — the framework shuffles exact M-rows, so counts, errors, and the
     selected synopsis all match the centralized run.  ``construct=False``
-    skips the top-down pass (enough for the probes of the binary search);
-    ``restricted=True`` swaps in the restricted-synopsis DP
-    (:class:`MinHaarSpaceRestrictedDP`).
+    skips the top-down pass (enough for the probes of the binary search).
 
     ``rho > 0`` runs the whole layered DP at the coarsened
     :func:`~repro.algos.minhaarspace.approx_params` grid — every shipped
@@ -528,40 +445,20 @@ def dm_haar_space(
         raise InvalidInputError("data length must be a power of two")
     n = int(values.shape[0])
     cluster = cluster or SimulatedCluster()
-    from repro.algos.minhaarspace import approx_params
-
     nominal_delta = delta
     epsilon_dp, delta = approx_params(epsilon, delta, n, rho)
-    dp: RowDP = (
-        MinHaarSpaceRestrictedDP(epsilon_dp, delta)
-        if restricted
-        else MinHaarSpaceDP(epsilon_dp, delta)
-    )
-
     if n == 1:
         with cluster.driver():
-            from repro.algos.minhaarspace import min_haar_space, min_haar_space_restricted
-
-            solver = min_haar_space_restricted if restricted else min_haar_space
-            return solver(values, epsilon, delta, rho=rho)
+            return min_haar_space(values, epsilon, delta, rho=rho)
 
     plan = resolve_layer_plan(layer_plan, n, epsilon, nominal_delta, cluster, rho=rho)
-    driver = LayeredDPDriver(dp, cluster, subtree_leaves, plan=plan)
-    result = driver.bottom_up(values)
-    with cluster.driver():
-        size, error, chosen = dp.finalize(result.top_row, result.overall_average)
-
-    coefficients: dict[int, float] = {}
-    if construct:
-        if chosen != 0:
-            coefficients[0] = chosen * delta
-        coefficients.update(driver.top_down(n, result.row_store, chosen))
-
+    driver = LayeredDPDriver(epsilon_dp, delta, cluster, subtree_leaves, plan=plan)
+    size, error, coefficients = driver.solve(values, construct)
     synopsis = WaveletSynopsis(
         n=n,
         coefficients=coefficients,
         meta={
-            "algorithm": "DMHaarSpaceRestricted" if restricted else "DMHaarSpace",
+            "algorithm": "DMHaarSpace",
             "epsilon": epsilon,
             "delta": delta,
             "rho": rho,

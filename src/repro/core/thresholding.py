@@ -37,12 +37,10 @@ ALGORITHMS = {
     "greedy-abs": ("max_abs", False),
     "greedy-rel": ("max_rel", False),
     "indirect-haar": ("max_abs", False),
-    "indirect-haar-restricted": ("max_abs", False),
     "conventional": ("l2", False),
     "dgreedy-abs": ("max_abs", True),
     "dgreedy-rel": ("max_rel", True),
     "dindirect-haar": ("max_abs", True),
-    "dindirect-haar-restricted": ("max_abs", True),
     "con": ("l2", True),
     "send-v": ("l2", True),
     "send-coef": ("l2", True),
@@ -118,24 +116,21 @@ def build_synopsis(
         inflation of at most ``(1 + rho)`` for narrower M-rows — see
         :func:`repro.algos.minhaarspace.approx_params`.
     layer_plan:
-        Band schedule for the distributed DP algorithms
-        (``dindirect-haar`` variants): ``"auto"`` for the adaptive
-        planner, ``"h=K"`` / ``"H1,H2,..."`` (optionally ``"@driver"``)
-        for an explicit schedule, or ``None`` for the classic uniform
+        Band schedule for the distributed DP algorithm
+        (``dindirect-haar``): ``"auto"`` for the adaptive planner,
+        ``"h=K"`` / ``"H1,H2,..."`` (optionally ``"@driver"``) for an
+        explicit schedule, or ``None`` for the classic uniform
         ``subtree_leaves`` decomposition.  Plans only change *where* DP
         work runs, never the synopsis — every plan is bit-identical at
-        ``rho = 0``.  Rejected for algorithms without a distributed DP.
+        ``rho = 0``.  Rejected for every other algorithm.
     """
     if algorithm not in ALGORITHMS:
         raise InvalidInputError(
             f"unknown algorithm {algorithm!r}; choose one of {sorted(ALGORITHMS)}"
         )
-    if layer_plan is not None and algorithm not in (
-        "dindirect-haar",
-        "dindirect-haar-restricted",
-    ):
+    if layer_plan is not None and algorithm != "dindirect-haar":
         raise InvalidInputError(
-            f"layer_plan applies only to the distributed DP algorithms, not {algorithm!r}"
+            f"layer_plan applies only to dindirect-haar, not {algorithm!r}"
         )
     if isinstance(data, FileDataset):
         if algorithm not in ("dgreedy-abs", "dgreedy-rel"):
@@ -157,8 +152,6 @@ def build_synopsis(
         return greedy_rel(values, budget, sanity_bound)
     if algorithm == "indirect-haar":
         return indirect_haar(values, budget, delta, rho=rho)
-    if algorithm == "indirect-haar-restricted":
-        return indirect_haar(values, budget, delta, restricted=True, rho=rho)
     if algorithm == "conventional":
         return conventional_synopsis(values, budget)
 
@@ -176,17 +169,6 @@ def build_synopsis(
             delta,
             cluster,
             subtree_leaves,
-            rho=rho,
-            layer_plan=layer_plan,
-        )
-    if algorithm == "dindirect-haar-restricted":
-        return d_indirect_haar(
-            values,
-            budget,
-            delta,
-            cluster,
-            subtree_leaves,
-            restricted=True,
             rho=rho,
             layer_plan=layer_plan,
         )

@@ -14,9 +14,10 @@ Eq. 6 derivation, concretized to our serde model
 
 A layer of height ``h`` over an ``N``-point tree has ``N / 2^h``
 sub-trees at the bottom (fewer above — Eq. 4), and each bottom-up layer
-job emits exactly **one record per sub-tree**: ``(parent, (root, M-row,
-mean))``, i.e. a fixed per-record overhead plus one serialized
-:class:`~repro.algos.minhaarspace.MRow`.  A row over incoming values
+job emits exactly **one record per sub-tree**: ``(parent, (root,
+M-row))``, i.e. a fixed per-record overhead (``record_size(0, (0,))``,
+:data:`~repro.core.dp_framework.LAYER_RECORD_OVERHEAD`) plus one
+serialized :class:`~repro.algos.minhaarspace.MRow`.  A row over incoming values
 ``v`` with ``|v - data| <= epsilon`` on a ``delta`` grid spans at most
 ``floor(2*epsilon/delta) + 2`` grid points, and
 :func:`~repro.algos.minhaarspace.combine_rows` only ever *halves and

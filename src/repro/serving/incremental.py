@@ -6,7 +6,7 @@ Two maintenance tiers, one per thresholding family:
   layered DP's per-sub-tree rows are pure functions of ``(sub-tree
   data, epsilon, delta)``, so a :class:`~repro.core.dp_framework.
   DPRowCache` carried across builds lets :meth:`~repro.core.dp_framework.
-  LayeredDPDriver.bottom_up` re-run only the sub-trees overlapping the
+  LayeredDPDriver.solve` re-run only the sub-trees overlapping the
   appended leaf range (:func:`~repro.core.partitioning.dirty_subtrees`)
   and re-merge through the same finalize/traceback — **bit-identical**
   to a from-scratch build at the same parameters (``rho = 0``; the
@@ -41,7 +41,7 @@ from numpy.typing import ArrayLike
 from repro.algos.greedy_abs import greedy_abs
 from repro.algos.minhaarspace import approx_params, min_haar_space
 from repro.core.dgreedy import base_subtree_greedy, root_subtree_greedy
-from repro.core.dp_framework import DPRowCache, LayeredDPDriver, MinHaarSpaceDP
+from repro.core.dp_framework import DPRowCache, LayeredDPDriver
 from repro.core.partitioning import (
     dirty_base_range,
     local_to_global,
@@ -273,15 +273,8 @@ class DPMaintainer:
             self._complete = False
             return synopsis, MaintenanceStats("centralized", 1, 1, 0)
 
-        dp = MinHaarSpaceDP(epsilon_dp, delta_eff)
-        driver = LayeredDPDriver(dp, cluster, self.subtree_leaves)
-        result = driver.bottom_up(data, cache=self._cache, dirty_range=dirty)
-        with cluster.driver():
-            size, error, chosen = dp.finalize(result.top_row, result.overall_average)
-        coefficients: dict[int, float] = {}
-        if chosen != 0:
-            coefficients[0] = chosen * delta_eff
-        coefficients.update(driver.top_down(n, result.row_store, chosen))
+        driver = LayeredDPDriver(epsilon_dp, delta_eff, cluster, self.subtree_leaves)
+        size, error, coefficients = driver.solve(data, cache=self._cache, dirty_range=dirty)
         self._complete = True
 
         height = min(self.subtree_leaves.bit_length() - 1, n.bit_length() - 1)

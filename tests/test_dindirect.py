@@ -114,18 +114,12 @@ class TestDIndirectHaarEquivalence:
         self, data, budget, delta, dp_runs
     ):
         values = np.asarray(data, dtype=np.float64)
-        plain, restricted, d_plain, d_restricted = (
+        plain, d_plain = (
             build_synopsis(values, budget, name, delta=delta, subtree_leaves=4)
-            for name in (
-                "indirect-haar",
-                "indirect-haar-restricted",
-                "dindirect-haar",
-                "dindirect-haar-restricted",
-            )
+            for name in ("indirect-haar", "dindirect-haar")
         )
         assert d_plain.same_coefficients(plain)
-        assert d_restricted.same_coefficients(restricted)
-        for synopsis in (plain, restricted, d_plain, d_restricted):
+        for synopsis in (plain, d_plain):
             assert synopsis.meta["dp_runs"] == dp_runs
 
     def test_multiple_jobs_run(self):

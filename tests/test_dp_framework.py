@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.algos.minhaarspace import min_haar_space
-from repro.core.dp_framework import LayeredDPDriver, MinHaarSpaceDP, dm_haar_space
+from repro.algos.minhaarspace import MRow, min_haar_space
+from repro.core.dp_framework import LAYER_RECORD_OVERHEAD, LayeredDPDriver, dm_haar_space
 from repro.exceptions import InfeasibleErrorBound, InvalidInputError
 from repro.mapreduce import ClusterConfig, SimulatedCluster
 
@@ -62,28 +62,6 @@ class TestDMHaarSpaceEquivalence:
         solution = dm_haar_space(data, 2.0, 10.0, SimulatedCluster(), 16)
         assert solution.synopsis.max_abs_error(data) <= 2.0 + 1e-9
 
-    def test_restricted_variant_matches_centralized(self):
-        from repro.algos.minhaarspace import min_haar_space_restricted
-
-        data = random_data(128, seed=12)
-        for epsilon in (10.0, 40.0):
-            dist = dm_haar_space(
-                data, epsilon, 1.0, SimulatedCluster(), 16, restricted=True
-            )
-            cent = min_haar_space_restricted(data, epsilon, 1.0)
-            assert dist.size == cent.size
-            assert dist.synopsis.same_coefficients(cent.synopsis, tolerance=1e-12)
-
-    def test_restricted_never_smaller_than_unrestricted(self):
-        data = random_data(128, seed=13)
-        for epsilon in (10.0, 25.0, 60.0):
-            restricted = dm_haar_space(
-                data, epsilon, 1.0, SimulatedCluster(), 16, restricted=True
-            )
-            unrestricted = dm_haar_space(data, epsilon, 1.0, SimulatedCluster(), 16)
-            assert restricted.size >= unrestricted.size
-            assert restricted.synopsis.max_abs_error(data) <= epsilon + 1e-9
-
     def test_skip_construction(self):
         data = random_data(64, seed=5)
         probe = dm_haar_space(data, 15.0, 1.0, SimulatedCluster(), 8, construct=False)
@@ -114,9 +92,26 @@ class TestFrameworkMechanics:
         dm_haar_space(data, 20.0, 1.0, large, subtree_leaves=64, construct=False)
         assert large.log.shuffle_bytes < small.log.shuffle_bytes
 
+    def test_bottom_up_records_are_the_papers_pairs(self):
+        # Eq. 5: each sub-tree of a bottom-up layer ships one record,
+        # (parent, (root, M-row)), priced at the record template's
+        # overhead plus the row's own bytes.
+        data = random_data(256, seed=14)
+        cluster = SimulatedCluster()
+        dm_haar_space(data, 20.0, 1.0, cluster, 16)  # h=4, log N=8: 2 bands
+        jobs = [job for job in cluster.log.jobs if job.trace.stage_label == "dp.bottom_up"]
+        assert [len(job.output) for job in jobs] == [16, 1]
+        for job in jobs:
+            for parent, value in job.output:
+                assert type(parent) is int and type(value) is tuple and len(value) == 2
+                root, row = value
+                assert type(root) is int and isinstance(row, MRow)
+            row_bytes = sum(row.serialized_size() for _, (_, row) in job.output)
+            assert job.shuffle_bytes == len(job.output) * LAYER_RECORD_OVERHEAD + row_bytes
+
     def test_row_store_holds_every_subtree(self):
         data = random_data(64, seed=8)
-        driver = LayeredDPDriver(MinHaarSpaceDP(20.0, 1.0), SimulatedCluster(), 8)
+        driver = LayeredDPDriver(20.0, 1.0, SimulatedCluster(), 8)
         result = driver.bottom_up(data)
         # h=3, log N=6: layer 0 has 8 sub-trees, layer 1 has 1.
         layer0 = [key for key in result.row_store if key[0] == 0]
@@ -125,7 +120,7 @@ class TestFrameworkMechanics:
 
     def test_driver_validates_subtree_leaves(self):
         with pytest.raises(InvalidInputError):
-            LayeredDPDriver(MinHaarSpaceDP(1.0, 1.0), SimulatedCluster(), 3)
+            LayeredDPDriver(1.0, 1.0, SimulatedCluster(), 3)
 
     def test_map_slot_scaling_affects_simulated_time(self):
         data = random_data(1024, seed=9)

@@ -21,8 +21,6 @@ from repro.algos.minhaarspace import (
     INFEASIBLE_COUNT,
     MRow,
     combine_rows,
-    combine_rows_restricted,
-    combine_rows_restricted_scalar,
     combine_rows_scalar,
     compute_data_subtree_rows,
     compute_subtree_rows,
@@ -30,7 +28,6 @@ from repro.algos.minhaarspace import (
     leaf_row,
     leaf_rows,
     min_haar_space,
-    min_haar_space_restricted,
 )
 from repro.analysis.sanitizer import Sanitizer, activate, deactivate
 from repro.exceptions import InfeasibleErrorBound, ReproError
@@ -155,47 +152,6 @@ class TestCombineDifferential:
         got = combine_rows(left, right, 16.0, 1.0)
         expected = combine_rows_scalar(left, right, 16.0, 1.0)
         assert_rows_identical(got, expected)
-
-
-class TestRestrictedDifferential:
-    def test_randomized_restricted_match_scalar(self):
-        rng = np.random.default_rng(200)
-        compared = 0
-        for trial in range(300):
-            left = random_row(rng, int(rng.integers(1, 80)), holes=trial % 3 == 0)
-            right = random_row(rng, int(rng.integers(1, 80)), holes=trial % 3 == 1)
-            z_offset = int(rng.integers(-10, 11))
-            epsilon = float(rng.uniform(0.5, 40.0))
-            outcome = both_or_neither(
-                lambda: combine_rows_restricted(left, right, z_offset, epsilon, 1.0),
-                lambda: combine_rows_restricted_scalar(left, right, z_offset, epsilon, 1.0),
-            )
-            if outcome is not None:
-                assert_rows_identical(*outcome)
-                compared += 1
-        assert compared > 150
-
-    def test_non_contiguous_restricted_domains(self):
-        # A large z offset makes the two candidates' feasible v-bands
-        # disjoint: the union domain has an infeasible interior hole that
-        # both implementations must represent identically.
-        rng = np.random.default_rng(5)
-        for z_offset in (12, -12, 20):
-            left = random_row(rng, 8)
-            right = random_row(rng, 8)
-            left.start = 0
-            right.start = 0
-            outcome = both_or_neither(
-                lambda: combine_rows_restricted(left, right, z_offset, 30.0, 1.0),
-                lambda: combine_rows_restricted_scalar(left, right, z_offset, 30.0, 1.0),
-            )
-            if outcome is not None:
-                got, expected = outcome
-                assert_rows_identical(got, expected)
-                if np.any(~np.isfinite(got.errors)):
-                    holes = got.counts[~np.isfinite(got.errors)]
-                    assert np.all(holes == INFEASIBLE_COUNT)
-                    assert np.all(got.choices[~np.isfinite(got.errors)] == -1)
 
 
 class TestLeafBatching:
@@ -352,57 +308,30 @@ class TestEndToEndEquivalence:
         assert vectorized.max_error == scalar.max_error
         assert vectorized.synopsis.coefficients == scalar.synopsis.coefficients
 
-    def test_min_haar_space_restricted_same_synopsis(self, monkeypatch):
-        data = np.random.default_rng(9).integers(0, 500, 256).astype(float)
-        vectorized = min_haar_space_restricted(data, 60.0, 1.0)
-        monkeypatch.setattr(
-            mhs, "combine_rows_restricted", combine_rows_restricted_scalar
-        )
-        scalar = min_haar_space_restricted(data, 60.0, 1.0)
-        assert vectorized.size == scalar.size
-        assert vectorized.max_error == scalar.max_error
-        assert vectorized.synopsis.coefficients == scalar.synopsis.coefficients
-
     def test_solution_carries_epsilon(self):
         data = np.random.default_rng(4).integers(0, 100, 64).astype(float)
         solution = min_haar_space(data, 15.0, 1.0)
         assert solution.epsilon == 15.0
-        restricted = min_haar_space_restricted(data, 25.0, 1.0)
-        assert restricted.epsilon == 25.0
 
 
-# How to force every combine of a solve onto one kernel: the unrestricted
-# solve dispatches on SCALAR_FALLBACK_CELLS above its bottom level, and
-# builds that level with data_pair_rows (which the scalar case swaps for
-# the per-pair scalar oracle); the restricted solve calls
-# combine_rows_restricted by module name.
-UNRESTRICTED_FALLBACK_CELLS = {"scalar": 10**12, "windowed": 0}
-RESTRICTED_KERNELS = {"scalar": combine_rows_restricted_scalar}
+# How to force every combine of a solve onto one kernel: the solve
+# dispatches on SCALAR_FALLBACK_CELLS above its bottom level, and builds
+# that level with data_pair_rows (which the scalar case swaps for the
+# per-pair scalar oracle).
+FALLBACK_CELLS = {"scalar": 10**12, "windowed": 0}
 
 
 class TestKernelRegistry:
     """Forcing any one combine kernel trades only time, never output."""
 
-    @pytest.mark.parametrize("kernel", sorted(UNRESTRICTED_FALLBACK_CELLS))
+    @pytest.mark.parametrize("kernel", sorted(FALLBACK_CELLS))
     def test_every_kernel_bit_identical_unrestricted(self, monkeypatch, kernel):
         data = np.random.default_rng(41).integers(0, 500, 256).astype(float)
         reference = min_haar_space(data, 30.0, 0.25)
-        monkeypatch.setattr(
-            mhs, "SCALAR_FALLBACK_CELLS", UNRESTRICTED_FALLBACK_CELLS[kernel]
-        )
+        monkeypatch.setattr(mhs, "SCALAR_FALLBACK_CELLS", FALLBACK_CELLS[kernel])
         if kernel == "scalar":
             monkeypatch.setattr(mhs, "data_pair_rows", scalar_data_pair_rows)
         got = min_haar_space(data, 30.0, 0.25)
-        assert got.size == reference.size
-        assert got.max_error == reference.max_error
-        assert got.synopsis.coefficients == reference.synopsis.coefficients
-
-    @pytest.mark.parametrize("kernel", sorted(RESTRICTED_KERNELS))
-    def test_every_kernel_bit_identical_restricted(self, monkeypatch, kernel):
-        data = np.random.default_rng(43).integers(0, 500, 128).astype(float)
-        reference = min_haar_space_restricted(data, 60.0, 0.5)
-        monkeypatch.setattr(mhs, "combine_rows_restricted", RESTRICTED_KERNELS[kernel])
-        got = min_haar_space_restricted(data, 60.0, 0.5)
         assert got.size == reference.size
         assert got.max_error == reference.max_error
         assert got.synopsis.coefficients == reference.synopsis.coefficients

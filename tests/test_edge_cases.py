@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.algos.greedy_abs import GreedyRun, Removal, greedy_abs
-from repro.algos.minhaarspace import MRow, min_haar_space, min_haar_space_restricted
+from repro.algos.minhaarspace import MRow, min_haar_space
 from repro.core.dgreedy import _best_cut_over_thresholds, d_greedy_abs
 from repro.core.dindirect import _EvaluateSynopsisJob, _LowerBoundJob
 from repro.core.dp_framework import dm_haar_space
@@ -226,9 +226,6 @@ _DP_ENTRIES = {
     "min_haar_space": lambda epsilon, delta, rho: min_haar_space(
         _DP_DATA, epsilon, delta, rho=rho
     ),
-    "min_haar_space_restricted": lambda epsilon, delta, rho: min_haar_space_restricted(
-        _DP_DATA, epsilon, delta, rho=rho
-    ),
     "dm_haar_space": lambda epsilon, delta, rho: dm_haar_space(
         _DP_DATA, epsilon, delta, subtree_leaves=16, rho=rho
     ),
@@ -254,12 +251,7 @@ _EXACT_DATA = np.arange(1.0, 9.0)
 
 _BAD_SEARCH_PARAMS = [
     (algorithm, parameter, value)
-    for algorithm in (
-        "indirect-haar",
-        "indirect-haar-restricted",
-        "dindirect-haar",
-        "dindirect-haar-restricted",
-    )
+    for algorithm in ("indirect-haar", "dindirect-haar")
     for parameter, value in [
         ("delta", math.nan),
         ("delta", math.inf),

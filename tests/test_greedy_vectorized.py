@@ -14,6 +14,7 @@ removal orders of magnitude slower than a detail removal at 2^14.
 """
 
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -144,6 +145,48 @@ class TestRelDifferential:
             greedy_rel_order(coeffs, leaves, 0.25, errors),
             scalar_greedy_rel_order(coeffs, leaves, 0.25, errors),
         )
+
+
+def _loop_key(engine, node):
+    """The key ``run_to_exhaustion`` compares a popped entry of ``node`` with."""
+    engine._packf[0] = engine._vma[node] + 0.0
+    return (engine._packi[0] << engine._id_bits) | node
+
+
+def _key_engines():
+    rng = np.random.default_rng(29)
+    coeffs = rng.normal(0, 100, 256)
+    leaves = rng.normal(0, 50, 256)
+    return {
+        "abs": GreedyAbsTree(coeffs),
+        "abs-no-average": GreedyAbsTree(coeffs, include_average=False),
+        "rel": GreedyRelTree(coeffs, leaves),
+    }
+
+
+class TestQueueKeys:
+    """Vector-built queue keys are the keys the discard loop validates.
+
+    A key that differs from the loop's (say, one built by a wrapping
+    int64 shift) never validates: its first pop re-inserts it, so the
+    order stays right but every such key is wasted work.
+    """
+
+    @pytest.mark.parametrize("name", ["abs", "abs-no-average", "rel"])
+    def test_fresh_heap_holds_the_loop_keys(self, name):
+        engine = _key_engines()[name]
+        alive = np.flatnonzero(engine._alive).tolist()
+        assert sorted(engine._heap) == sorted(_loop_key(engine, k) for k in alive)
+
+    @pytest.mark.parametrize("name", ["abs", "rel"])
+    def test_rekey_pushes_the_loop_keys(self, name):
+        engine = _key_engines()[name]
+        a, b = 64, 128
+        engine._ma_arr[a:b] *= 0.5  # every refreshed priority undercuts its key
+        before = Counter(engine._heap)
+        engine._rekey(a, b)
+        pushed = Counter(engine._heap) - before
+        assert sorted(pushed.elements()) == sorted(_loop_key(engine, k) for k in range(a, b))
 
 
 class TestAverageRemovalPerformance:

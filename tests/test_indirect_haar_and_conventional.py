@@ -117,14 +117,3 @@ class TestIndirectHaar:
         fine = indirect_haar(data, 8, delta=1.0).max_abs_error(data)
         coarse = indirect_haar(data, 8, delta=50.0).max_abs_error(data)
         assert fine <= coarse + 1e-9
-
-    def test_custom_solver_is_used(self):
-        calls = []
-        from repro.algos.minhaarspace import min_haar_space
-
-        def spy_solver(epsilon):
-            calls.append(epsilon)
-            return min_haar_space(PAPER_DATA, epsilon, 0.5)
-
-        indirect_haar(PAPER_DATA, 3, delta=0.5, solver=spy_solver)
-        assert len(calls) >= 1

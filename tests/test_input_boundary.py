@@ -193,12 +193,7 @@ def test_dgreedy_rejects_hostile_parameters(build, name, value):
 #: Finite values whose DP grid index at the default delta reaches 2**52.
 BEYOND_GRID = [1e18, -1e18, 1e20, 1e300]
 
-DP_ALGORITHMS = [
-    "indirect-haar",
-    "indirect-haar-restricted",
-    "dindirect-haar",
-    "dindirect-haar-restricted",
-]
+DP_ALGORITHMS = ["indirect-haar", "dindirect-haar"]
 
 
 @pytest.mark.parametrize("huge", BEYOND_GRID)
