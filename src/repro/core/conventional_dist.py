@@ -387,57 +387,63 @@ def h_wtopk_synopsis(
     splits = block_splits(values, block_size)
     mapper_count = len(splits)
 
-    # Round 1: local extremes -> threshold T1.
-    round1 = cluster.run_job(_HWTopkRound(n, budget, "extremes"), splits)
-    kth_high: dict[int, float] = {}
-    kth_low: dict[int, float] = {}
-    seen: dict[int, dict[int, float]] = {}
-    peak_records = 0
-    for key, payloads in round1.output:
-        peak_records += len(payloads)
-        for payload in payloads:
-            if key == "bounds":
-                mapper_id, high, low = payload
-                kth_high[mapper_id] = high
-                kth_low[mapper_id] = low
-            else:
-                mapper_id, node, value = payload
+    with cluster.runtime.session():
+        # Round 1: local extremes -> threshold T1.
+        round1 = cluster.run_job(_HWTopkRound(n, budget, "extremes"), splits)
+        kth_high: dict[int, float] = {}
+        kth_low: dict[int, float] = {}
+        seen: dict[int, dict[int, float]] = {}
+        peak_records = 0
+        for key, payloads in round1.output:
+            peak_records += len(payloads)
+            for payload in payloads:
+                if key == "bounds":
+                    mapper_id, high, low = payload
+                    kth_high[mapper_id] = high
+                    kth_low[mapper_id] = low
+                else:
+                    mapper_id, node, value = payload
+                    seen.setdefault(node, {})[mapper_id] = value
+
+        bounds = _tau_bounds(
+            seen, mapper_count, kth_high.__getitem__, kth_low.__getitem__
+        )
+        t1 = _kth_largest(
+            (_tau_magnitude(tp, tm) for tp, tm in bounds.values()), budget
+        )
+
+        # Round 2: everything above T1/m -> refined threshold T2 and pruning.
+        round2 = cluster.run_job(
+            _HWTopkRound(
+                n, budget, "threshold", threshold=t1 / max(mapper_count, 1)
+            ),
+            splits,
+        )
+        for key, payloads in round2.output:
+            peak_records += len(payloads)
+            for mapper_id, node, value in payloads:
                 seen.setdefault(node, {})[mapper_id] = value
 
-    bounds = _tau_bounds(seen, mapper_count, kth_high.__getitem__, kth_low.__getitem__)
-    t1 = _kth_largest(
-        (_tau_magnitude(tp, tm) for tp, tm in bounds.values()), budget
-    )
+        default = t1 / max(mapper_count, 1)
+        bounds = _tau_bounds(seen, mapper_count, lambda m: default, lambda m: -default)
+        t2 = _kth_largest(
+            (_tau_magnitude(tp, tm) for tp, tm in bounds.values()), budget
+        )
+        candidates = {
+            node
+            for node, (tp, tm) in bounds.items()
+            if max(abs(tp), abs(tm)) >= t2
+        }
 
-    # Round 2: everything above T1/m -> refined threshold T2 and pruning.
-    round2 = cluster.run_job(
-        _HWTopkRound(n, budget, "threshold", threshold=t1 / max(mapper_count, 1)), splits
-    )
-    for key, payloads in round2.output:
-        peak_records += len(payloads)
-        for mapper_id, node, value in payloads:
-            seen.setdefault(node, {})[mapper_id] = value
-
-    default = t1 / max(mapper_count, 1)
-    bounds = _tau_bounds(seen, mapper_count, lambda m: default, lambda m: -default)
-    t2 = _kth_largest(
-        (_tau_magnitude(tp, tm) for tp, tm in bounds.values()), budget
-    )
-    candidates = {
-        node
-        for node, (tp, tm) in bounds.items()
-        if max(abs(tp), abs(tm)) >= t2
-    }
-
-    # Round 3: exact values of the candidates.
-    round3 = cluster.run_job(
-        _HWTopkRound(n, budget, "candidates", candidates=candidates), splits
-    )
-    totals: dict[int, float] = {}
-    for _, payloads in round3.output:
-        peak_records += len(payloads)
-        for _, node, value in payloads:
-            totals[node] = totals.get(node, 0.0) + value
+        # Round 3: exact values of the candidates.
+        round3 = cluster.run_job(
+            _HWTopkRound(n, budget, "candidates", candidates=candidates), splits
+        )
+        totals: dict[int, float] = {}
+        for _, payloads in round3.output:
+            peak_records += len(payloads)
+            for _, node, value in payloads:
+                totals[node] = totals.get(node, 0.0) + value
 
     top = heapq.nsmallest(
         budget, totals.items(), key=lambda item: (-abs(item[1]), item[0])

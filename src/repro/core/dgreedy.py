@@ -437,43 +437,45 @@ def _distributed_greedy(
     else:
         splits = aligned_splits(values, base_leaves)
 
-    # Pre-job: sub-tree averages -> root sub-tree coefficients.
-    averages_result = cluster.run_job(_AverageJob(), splits)
-    averages = np.empty(root_size, dtype=np.float64)
-    for split_id, average in averages_result.output:
-        averages[split_id] = average
+    # The three jobs share one worker pool on the process runtime.
+    with cluster.runtime.session():
+        # Pre-job: sub-tree averages -> root sub-tree coefficients.
+        averages_result = cluster.run_job(_AverageJob(), splits)
+        averages = np.empty(root_size, dtype=np.float64)
+        for split_id, average in averages_result.output:
+            averages[split_id] = average
 
-    # Driver: GreedyAbs on the root sub-tree + genRootSets (Algorithm 4).
-    with cluster.driver():
-        root_coefficients = haar_transform(averages)
-        root_run = engine.root_run(root_coefficients, averages)
-        candidates = _candidate_incoming_errors(root_run, root_size, budget)
+        # Driver: GreedyAbs on the root sub-tree + genRootSets (Algorithm 4).
+        with cluster.driver():
+            root_coefficients = haar_transform(averages)
+            root_run = engine.root_run(root_coefficients, averages)
+            candidates = _candidate_incoming_errors(root_run, root_size, budget)
 
-    # Job 1: speculative histogram runs + combineResults.
-    histogram_job = _HistogramJob(
-        engine,
-        candidates,
-        budget,
-        bucket_width,
-        num_reducers=min(level2_workers, len(candidates)),
-    )
-    histogram_result = cluster.run_job(histogram_job, splits)
-    with cluster.driver():
-        best_candidate_id, (best_error, best_threshold) = min(
-            histogram_result.output,
-            key=lambda item: (item[1][0], item[0]),
+        # Job 1: speculative histogram runs + combineResults.
+        histogram_job = _HistogramJob(
+            engine,
+            candidates,
+            budget,
+            bucket_width,
+            num_reducers=min(level2_workers, len(candidates)),
         )
-        winner = candidates[best_candidate_id]
+        histogram_result = cluster.run_job(histogram_job, splits)
+        with cluster.driver():
+            best_candidate_id, (best_error, best_threshold) = min(
+                histogram_result.output,
+                key=lambda item: (item[1][0], item[0]),
+            )
+            winner = candidates[best_candidate_id]
 
-    # Job 2: construct the synopsis for the winning candidate.
-    construct_job = _ConstructJob(
-        engine, winner, threshold=best_threshold, bucket_width=bucket_width, n=n
-    )
-    construct_result = cluster.run_job(construct_job, splits)
-    with cluster.driver():
-        coefficients = dict(winner.retained)
-        for global_node, value in construct_result.output:
-            coefficients[global_node] = value
+        # Job 2: construct the synopsis for the winning candidate.
+        construct_job = _ConstructJob(
+            engine, winner, threshold=best_threshold, bucket_width=bucket_width, n=n
+        )
+        construct_result = cluster.run_job(construct_job, splits)
+        with cluster.driver():
+            coefficients = dict(winner.retained)
+            for global_node, value in construct_result.output:
+                coefficients[global_node] = value
 
     name = "DGreedyAbs" if engine.metric == "max_abs" else "DGreedyRel"
     return WaveletSynopsis(

@@ -20,7 +20,7 @@ from collections.abc import Iterator, Mapping
 from typing import Any
 
 import numpy as np
-from numpy.typing import ArrayLike
+from numpy.typing import ArrayLike, NDArray
 
 from repro.algos.indirect_haar import (
     conventional_is_exact,
@@ -97,6 +97,37 @@ class _EvaluateSynopsisJob(MapReduceJob):
         yield key, max(values)
 
 
+def _error_bounds(
+    values: NDArray[np.float64],
+    budget: int,
+    cluster: SimulatedCluster,
+    split_size: int,
+) -> tuple[WaveletSynopsis, float, float]:
+    """The search's bracket: ``(conventional synopsis, lower, upper)``.
+
+    The three bound jobs of Section 4: parallel CON, its max-abs error
+    evaluated per split (the upper bound) and the ``(B+1)``-largest
+    coefficient magnitude (the lower bound).  An input of one split is
+    bounded in the driver instead.
+    """
+    n = int(values.shape[0])
+    conventional = con_synopsis(values, budget, cluster, split_size=split_size)
+    if n <= split_size:
+        with cluster.driver():
+            error_high = conventional.max_abs_error(values)
+            from repro.algos.conventional import largest_coefficient
+
+            error_low = largest_coefficient(haar_transform(values), budget + 1)
+        return conventional, error_low, error_high
+    splits = aligned_splits(values, split_size)
+    evaluation = cluster.run_job(
+        _EvaluateSynopsisJob(n, conventional.coefficients, split_size), splits
+    )
+    error_high = max(err for _, err in evaluation.output)
+    lower = cluster.run_job(_LowerBoundJob(n, budget, split_size), splits)
+    return conventional, dict(lower.output)["bound"], error_high
+
+
 def d_indirect_haar(
     data: ArrayLike,
     budget: int,
@@ -138,76 +169,59 @@ def d_indirect_haar(
     check_dp_params(delta, rho)
     n = int(values.shape[0])
     cluster = cluster or SimulatedCluster()
-    split_size = min(subtree_leaves, n)
-
-    # Bound job 1: the conventional synopsis (parallel CON) ...
-    conventional = con_synopsis(values, budget, cluster, split_size=split_size)
-    # ... evaluated distributively for the upper bound.
-    if n > split_size:
-        evaluation = cluster.run_job(
-            _EvaluateSynopsisJob(n, conventional.coefficients, split_size),
-            aligned_splits(values, split_size),
+    with cluster.runtime.session():
+        conventional, error_low, error_high = _error_bounds(
+            values, budget, cluster, min(subtree_leaves, n)
         )
-        error_high = max(err for _, err in evaluation.output)
-        lower = cluster.run_job(
-            _LowerBoundJob(n, budget, split_size), aligned_splits(values, split_size)
+        if conventional_is_exact(error_low):
+            conventional.meta.update(
+                {"algorithm": "DIndirectHaar", "dp_runs": 0, "rho": rho}
+            )
+            return conventional
+
+        # Resolve the band schedule once, at the representative epsilon
+        # error_high (the widest rows any probe will ship), so every probe
+        # and the constructing run execute the identical job sequence.
+        plan = (
+            resolve_layer_plan(layer_plan, n, error_high, delta, cluster, rho=rho)
+            if n > 1
+            else None
         )
-        error_low = dict(lower.output)["bound"]
-    else:
-        with cluster.driver():
-            error_high = conventional.max_abs_error(values)
-            from repro.algos.conventional import largest_coefficient
 
-            error_low = largest_coefficient(haar_transform(values), budget + 1)
+        # Probes skip the top-down pass; only the winning bound is
+        # constructed.  Each probe's solution carries its epsilon
+        # (DualSolution.epsilon), so re-running the winner needs no
+        # external solution-to-epsilon map.
+        def solver(epsilon: float) -> DualSolution:
+            return dm_haar_space(
+                values,
+                epsilon,
+                delta,
+                cluster,
+                subtree_leaves=subtree_leaves,
+                construct=False,
+                rho=rho,
+                layer_plan=plan,
+            )
 
-    if conventional_is_exact(error_low):
-        conventional.meta.update(
-            {"algorithm": "DIndirectHaar", "dp_runs": 0, "rho": rho}
+        best, runs = indirect_haar_search(
+            solver,
+            error_low,
+            error_high,
+            budget,
+            search_resolution(error_high, delta, n, rho),
+            max_iterations,
         )
-        return conventional
-
-    # Resolve the band schedule once, at the representative epsilon
-    # error_high (the widest rows any probe will ship), so every probe
-    # and the constructing run execute the identical job sequence.
-    plan = (
-        resolve_layer_plan(layer_plan, n, error_high, delta, cluster, rho=rho)
-        if n > 1
-        else None
-    )
-
-    # Probes skip the top-down pass; only the winning bound is constructed.
-    # Each probe's solution carries its epsilon (DualSolution.epsilon), so
-    # re-running the winner needs no external solution-to-epsilon map.
-    def solver(epsilon: float) -> DualSolution:
-        return dm_haar_space(
+        final = dm_haar_space(
             values,
-            epsilon,
+            best.epsilon,
             delta,
             cluster,
             subtree_leaves=subtree_leaves,
-            construct=False,
+            construct=True,
             rho=rho,
             layer_plan=plan,
         )
-
-    best, runs = indirect_haar_search(
-        solver,
-        error_low,
-        error_high,
-        budget,
-        search_resolution(error_high, delta, n, rho),
-        max_iterations,
-    )
-    final = dm_haar_space(
-        values,
-        best.epsilon,
-        delta,
-        cluster,
-        subtree_leaves=subtree_leaves,
-        construct=True,
-        rho=rho,
-        layer_plan=plan,
-    )
     synopsis = final.synopsis
     synopsis.meta.update(
         {

@@ -371,17 +371,22 @@ class LayeredDPDriver:
         the selected synopsis (``c_0`` under index 0 when kept), or
         nothing when ``construct`` is False, which skips the top-down
         pass.  ``cache`` and ``dirty_range`` are passed to
-        :meth:`bottom_up`.
+        :meth:`bottom_up`.  Both passes run in one runtime session.
         """
         values = np.asarray(data, dtype=np.float64)
-        result = self.bottom_up(values, cache, dirty_range)
-        with self.cluster.driver():
-            size, error, chosen = finalize_root(result.top_row, self.epsilon, self.delta)
-        coefficients: dict[int, float] = {}
-        if construct:
-            if chosen != 0:
-                coefficients[0] = chosen * self.delta
-            coefficients.update(self.top_down(len(values), result.row_store, chosen))
+        with self.cluster.runtime.session():
+            result = self.bottom_up(values, cache, dirty_range)
+            with self.cluster.driver():
+                size, error, chosen = finalize_root(
+                    result.top_row, self.epsilon, self.delta
+                )
+            coefficients: dict[int, float] = {}
+            if construct:
+                if chosen != 0:
+                    coefficients[0] = chosen * self.delta
+                coefficients.update(
+                    self.top_down(len(values), result.row_store, chosen)
+                )
         return size, error, coefficients
 
 

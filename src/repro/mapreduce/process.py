@@ -7,6 +7,15 @@ Hadoop containers, which share only the shuffle — and pure-Python stages
 (the greedy engine replays of DGreedyAbs, the traceback walks) run in
 parallel despite the GIL.
 
+One pool serves one build.  The first process-safe stage inside a
+:meth:`~ProcessPoolRuntime.session` starts it, every later map and
+reduce stage of the session reuses it, and the outermost session's exit
+shuts it down and joins its workers, on success and on error.  So a
+build pays the workers' start-up once, and their CPU time is in the
+driver's ``RUSAGE_CHILDREN`` as soon as the build returns.  A worker
+keeps its module globals across the tasks and stages of one build; each
+task still gets its own unpickled copy of the job.
+
 Outputs are byte-identical to
 :class:`~repro.mapreduce.runtime.LocalRuntime`: the same split-order
 collection contract, with task bodies shipped as module-level functions
@@ -22,15 +31,23 @@ process boundary:
   derives each task's draws from its label, so it ships to the workers
   as three plain fields and fails the same attempts as in the driver,
   regardless of worker count or completion order.
+* **A dead worker.**  A worker that dies mid-task breaks the whole pool.
+  The stage raises :class:`~repro.exceptions.JobFailedError` naming the
+  job, and the broken pool is dropped, so the next stage starts a fresh
+  one.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from typing import Any
 
+from repro.exceptions import InvalidInputError, JobFailedError
 from repro.mapreduce.hdfs import InputSplit
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import (
@@ -82,13 +99,18 @@ def _run_reduce_task_in_worker(
 
 
 class ProcessPoolRuntime(LocalRuntime):
-    """Runs map/reduce tasks on a process pool.
+    """Runs map/reduce tasks on a process pool, one pool per build.
 
     Jobs (and their splits/outputs) must be picklable; jobs that share
     driver-side state opt out with ``process_safe = False`` and fall back
     to in-process execution.  Task timing is measured inside the worker,
     so the simulated cluster prices the same per-task seconds it would
     see from ``LocalRuntime`` (modulo interference noise).
+
+    Sessions may nest and may be entered from several threads at once
+    (a serving store shares one cluster across its shards): a lock
+    guards the session depth and the pool, and the pool lives until the
+    last open session exits.
     """
 
     def __init__(
@@ -99,10 +121,63 @@ class ProcessPoolRuntime(LocalRuntime):
     ) -> None:
         if max_workers is None:
             max_workers = default_process_count()
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
+        if (
+            not isinstance(max_workers, int)
+            or isinstance(max_workers, bool)
+            or max_workers < 1
+        ):
+            raise InvalidInputError(
+                f"max_workers must be an integer >= 1, got {max_workers!r}"
+            )
         super().__init__(failure_injector, shuffle)
         self.max_workers = max_workers
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._pool: ProcessPoolExecutor | None = None
+
+    @contextmanager
+    def session(self) -> Iterator[None]:
+        """Scope one build; its process-safe stages share one worker pool.
+
+        The pool starts lazily, at the first stage that needs it, so a
+        build of process-unsafe jobs starts none.  The outermost exit
+        waits for the running tasks and joins the workers.
+        """
+        with self._lock:
+            self._depth += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._depth -= 1
+                pool = None
+                if self._depth == 0:
+                    pool, self._pool = self._pool, None
+            if pool is not None:
+                # No cancel_futures: a failed stage's pool.map has already
+                # cancelled its queued tasks, and on CPython 3.11 that flag
+                # hangs shutdown once a task has failed to pickle.
+                pool.shutdown(wait=True)
+
+    @contextmanager
+    def _stage_pool(self, job: MapReduceJob) -> Iterator[ProcessPoolExecutor]:
+        """The session's pool for one stage of ``job``, started on first use.
+
+        A pool that a dead worker broke is discarded, so the next stage
+        starts a fresh one, and the stage fails with ``JobFailedError``.
+        """
+        with self._lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            pool = self._pool
+        try:
+            yield pool
+        except BrokenProcessPool as error:
+            with self._lock:
+                if self._pool is pool:
+                    self._pool = None
+            pool.shutdown(wait=True)
+            raise JobFailedError(f"job {job.name}: a pool worker died") from error
 
     def _execute_map_tasks(
         self, job: MapReduceJob, splits: list[InputSplit]
@@ -114,9 +189,7 @@ class ProcessPoolRuntime(LocalRuntime):
             (job, split, f"{job.name}/map-{split.split_id}", self.failure_injector)
             for split in splits
         ]
-        # Yield (in split order) while the pool context stays open, so the
-        # driver can stream completed task outputs into the shuffle.
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
+        with self._stage_pool(job) as pool:
             yield from pool.map(_run_map_task_in_worker, work)
 
     def _execute_reduce_tasks(
@@ -128,5 +201,5 @@ class ProcessPoolRuntime(LocalRuntime):
             (job, partition, f"{job.name}/reduce-{reducer_id}", self.failure_injector)
             for reducer_id, partition in enumerate(partitions)
         ]
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
+        with self._stage_pool(job) as pool:
             return list(pool.map(_run_reduce_task_in_worker, work))

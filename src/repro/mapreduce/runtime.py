@@ -40,6 +40,7 @@ import time
 import zlib
 from collections import defaultdict
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -240,6 +241,18 @@ class LocalRuntime:
             shuffle = ShuffleConfig(mode=shuffle)
         self.shuffle = shuffle
 
+    @contextmanager
+    def session(self) -> Iterator[None]:
+        """Scope one build: every job run inside it shares its resources.
+
+        Each distributed algorithm runs its jobs inside one session, and
+        :meth:`run` opens one around every job, so a bare ``run`` is a
+        one-job build.  Sessions nest: an inner one (a bound job, a probe)
+        joins the outermost.  The in-process runtime holds nothing, so
+        here a session does nothing.
+        """
+        yield
+
     def _execute_map_tasks(
         self, job: MapReduceJob, splits: list[InputSplit]
     ) -> Iterator[tuple[MapTaskResult, TaskSpan]]:
@@ -279,14 +292,17 @@ class LocalRuntime:
         with the external shuffle the driver never holds the whole map
         output resident.  The shuffle is always closed — spill files are
         deleted even when a task exhausts its attempts and the job aborts.
+        The job runs inside :meth:`session`, so its map and reduce stages
+        share whatever the session holds.
         """
         counters = Counters()
-        shuffle = None if job.num_reducers == 0 else make_shuffle(self.shuffle, job)
-        try:
-            return self._run_with_shuffle(job, splits, counters, shuffle)
-        finally:
-            if shuffle is not None:
-                shuffle.close()
+        with self.session():
+            shuffle = None if job.num_reducers == 0 else make_shuffle(self.shuffle, job)
+            try:
+                return self._run_with_shuffle(job, splits, counters, shuffle)
+            finally:
+                if shuffle is not None:
+                    shuffle.close()
 
     def _run_with_shuffle(
         self,
@@ -304,8 +320,8 @@ class LocalRuntime:
         map_output_records = 0  # post-combine records entering the shuffle
         shuffle_bytes = 0  # post-combine: what actually crosses the wire
         # Generator first in the zip: after the last task, the next() that
-        # stops the zip also resumes (and so finishes) the generator,
-        # closing any worker pool its hooks hold open.
+        # stops the zip also resumes the generator and runs it to its end,
+        # so no hook is left suspended inside its stage.
         for (task, span), split in zip(self._execute_map_tasks(job, splits), splits):
             task_bytes = records_size(task.output)
             input_records += len(split)

@@ -89,8 +89,15 @@ class ShuffleConfig:
             raise InvalidInputError(
                 f"unknown shuffle mode {self.mode!r} (choose from: {options})"
             )
-        if self.buffer_bytes <= 0:
-            raise InvalidInputError("shuffle buffer_bytes must be positive")
+        if (
+            not isinstance(self.buffer_bytes, int)
+            or isinstance(self.buffer_bytes, bool)
+            or self.buffer_bytes <= 0
+        ):
+            raise InvalidInputError(
+                "shuffle buffer_bytes must be a positive integer, "
+                f"got {self.buffer_bytes!r}"
+            )
 
 
 class ShuffleBase:

@@ -223,6 +223,12 @@ class TestMergeSemantics:
         with pytest.raises(InvalidInputError, match="buffer_bytes"):
             ShuffleConfig(mode="external", buffer_bytes=0)
 
+    @pytest.mark.parametrize("buffer_bytes", [math.nan, math.inf, 1.5, True])
+    def test_buffer_bytes_must_be_an_integer(self, buffer_bytes):
+        # A nan buffer never fills, so the shuffle would never spill.
+        with pytest.raises(InvalidInputError, match="buffer_bytes"):
+            ShuffleConfig(mode="external", buffer_bytes=buffer_bytes)
+
 
 class TestEndToEndBitIdentity:
     def build(self, algorithm, shuffle, runtime_name="local"):

@@ -6,8 +6,8 @@ A job is either
   ships it to worker processes, so it must pickle (the *class* by
   reference, which a class defined inside a function cannot, and a
   representative *instance*), and its tasks must not pass state to one
-  another through the job or a module global, which a worker's copy
-  would lose; or
+  another through the job, of which each task gets its own copy, or
+  through a module global, which stays in the worker that wrote it; or
 * ``process_safe = False`` — it shares driver-side state and runs through
   the in-process fallback.  Those jobs must be the known, documented set,
   and the fallback path itself is exercised here end to end.
@@ -223,8 +223,9 @@ def _build(algorithm: str, runtime: str) -> tuple[dict[str, Any], dict[str, Any]
 def test_algorithm_gives_same_output_on_both_runtimes(algorithm):
     # A process-safe job whose class cannot be pickled fails here on the
     # pool; one whose tasks hand state to a later task through the job
-    # (or a module global) sees it in the driver but not in a worker, so
-    # the synopsis or the trace differs.
+    # sees it in the driver but not in a worker, so the synopsis or the
+    # trace differs.  A module global shows the same way only when the
+    # reading task runs on another worker than the writing one.
     local_synopsis, local_trace = _build(algorithm, "local")
     pooled_synopsis, pooled_trace = _build(algorithm, "process")
     assert pooled_synopsis == local_synopsis
