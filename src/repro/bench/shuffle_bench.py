@@ -1,29 +1,22 @@
-"""External-shuffle benchmark: columnar codec throughput + spill overhead.
+"""Shuffle benchmark: columnar byte sizing and end-to-end spill overhead.
 
-Two measurements back the out-of-core path's perf story:
+Two measurements back the shuffle's perf story:
 
-* **Codec throughput** — :func:`repro.mapreduce.serde.encode_batch` /
-  :func:`decode_batch` against the per-record pickle framing a naive
-  spill format would use, over two batch shapes that bracket real
-  shuffle traffic: ``numeric`` (homogeneous ``(int, float)`` records,
-  the shape CON/SendCoef and the DP jobs shuffle — the codec's best
-  case) and ``mixed`` (interleaved ``hist``/``final`` tuple records,
-  the per-bucket shape DGreedyAbs's job 1 emitted before it shipped one
-  columnar record per run — the codec's adversarial mixed-signature
-  case, where per-record python overhead can't be fully columnarized;
-  the codec trades a modest CPU cost for a substantially smaller spill
-  file, which is what matters once runs hit disk).  The speedup ratio, not absolute seconds, is what the
-  regression guard pins — ratios on the same machine transfer across
-  hosts.
 * **End-to-end spill overhead** — a DGreedyAbs build under the external
   shuffle with a buffer small enough to force multi-run merges, divided
   by the same build on the in-memory shuffle.  This is the price of
-  bounding driver memory; the guard keeps it from silently exploding.
+  bounding what the map stage buffers; the guard keeps it from silently
+  exploding.
 * **Byte sizing** — :func:`repro.mapreduce.serde.records_size`, the
   columnar sizer the runtime charges every task output with, against
-  the per-record ``record_size`` sum it replaces, over the same two
-  shapes.  Both must return the same total; the speedup is what the
-  regression guard pins.
+  the per-record ``record_size`` sum it replaces, over two batch shapes
+  that bracket real shuffle traffic: ``numeric`` (homogeneous
+  ``(int, float)`` records, the shape CON/SendCoef and the DP jobs
+  shuffle) and ``mixed`` (interleaved ``hist``/``final`` tuple records,
+  the per-bucket shape DGreedyAbs's job 1 emitted before it shipped one
+  columnar record per run).  Both must return the same total; the
+  speedup ratio, not absolute seconds, is what the regression guard
+  pins — ratios on the same machine transfer across hosts.
 
 Results land in ``BENCH_shuffle.json`` at the repo root (written by
 ``benchmarks/bench_shuffle.py``) — the baseline future PRs diff against.
@@ -33,7 +26,6 @@ interleaved within each repetition and the minimum over repetitions kept.
 
 from __future__ import annotations
 
-import pickle
 import time
 from collections.abc import Sequence
 from typing import Any
@@ -43,12 +35,11 @@ import numpy as np
 from repro.core.dgreedy import d_greedy_abs
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.runtime import LocalRuntime
-from repro.mapreduce.serde import decode_batch, encode_batch, record_size, records_size
+from repro.mapreduce.serde import record_size, records_size
 from repro.mapreduce.shuffle import ShuffleConfig
 
 __all__ = [
     "SHUFFLE_BATCH_SIZES",
-    "bench_codec_batches",
     "bench_external_overhead",
     "bench_sizing",
     "numeric_shaped_records",
@@ -61,7 +52,7 @@ SHUFFLE_BATCH_SIZES = [1 << 10, 1 << 13, 1 << 16]
 
 
 def shuffle_shaped_records(count: int, seed: int = 7) -> list[tuple[Any, Any]]:
-    """A reproducible batch of the codec's adversarial mixed-signature shape.
+    """A reproducible batch of the mixed-signature ``hist``/``final`` shape.
 
     Interleaves 4-tuple ``hist`` keys (with ``(count, cut_error)``
     values) and 3-tuple ``final`` keys (float values) in a ~15:1 ratio:
@@ -90,66 +81,17 @@ def numeric_shaped_records(count: int, seed: int = 7) -> list[tuple[Any, Any]]:
     """A homogeneous ``(int key, float value)`` batch.
 
     The shape CON/SendCoef and the DP jobs shuffle (coefficient index to
-    value); both columns encode as single typed arrays, so this is the
-    codec's best case.
+    value); each column has one exact type, the sizer's best case.
     """
     rng = np.random.default_rng(seed)
     values = rng.uniform(0, 500, size=count)
     return [(int(index), float(value)) for index, value in enumerate(values)]
 
 
-def _pickle_per_record(records: list[tuple[Any, Any]]) -> list[bytes]:
-    return [pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL) for record in records]
-
-
-def _unpickle_per_record(blobs: list[bytes]) -> list[tuple[Any, Any]]:
-    return [pickle.loads(blob) for blob in blobs]
-
-
 _SHAPES = {
     "numeric": numeric_shaped_records,
     "mixed": shuffle_shaped_records,
 }
-
-
-def bench_codec_batches(
-    sizes: Sequence[int] | None = None, reps: int = 3, seed: int = 7
-) -> list[dict[str, Any]]:
-    """Benchmark the columnar codec vs per-record pickle.
-
-    Returns one dict per ``(shape, size)`` pair, covering the codec's
-    best case (``numeric``) and worst case (``mixed``).
-    """
-    if sizes is None:
-        sizes = SHUFFLE_BATCH_SIZES
-    rows = []
-    for shape, make_records in _SHAPES.items():
-        for size in sizes:
-            records = make_records(size, seed)
-            columnar_seconds = pickle_seconds = float("inf")
-            for _ in range(reps):
-                start = time.perf_counter()
-                decoded = decode_batch(encode_batch(records))
-                columnar_seconds = min(columnar_seconds, time.perf_counter() - start)
-                start = time.perf_counter()
-                reference = _unpickle_per_record(_pickle_per_record(records))
-                pickle_seconds = min(pickle_seconds, time.perf_counter() - start)
-            assert decoded == records and reference == records  # keep both honest
-            encoded_bytes = len(encode_batch(records))
-            pickled_bytes = sum(len(blob) for blob in _pickle_per_record(records))
-            rows.append(
-                {
-                    "shape": shape,
-                    "records": size,
-                    "columnar_seconds": columnar_seconds,
-                    "pickle_seconds": pickle_seconds,
-                    "speedup": pickle_seconds / columnar_seconds,
-                    "columnar_bytes": encoded_bytes,
-                    "pickle_bytes": pickled_bytes,
-                    "bytes_ratio": pickled_bytes / encoded_bytes,
-                }
-            )
-    return rows
 
 
 def bench_sizing(

@@ -30,13 +30,7 @@ from repro.mapreduce.hdfs import (
 from repro.mapreduce.job import MapReduceJob, stable_partition
 from repro.mapreduce.process import ProcessPoolRuntime
 from repro.mapreduce.runtime import FailureInjector, JobResult, LocalRuntime
-from repro.mapreduce.serde import (
-    decode_batch,
-    encode_batch,
-    estimate_size,
-    record_size,
-    records_size,
-)
+from repro.mapreduce.serde import estimate_size, record_size, records_size
 from repro.mapreduce.shuffle import (
     DEFAULT_BUFFER_BYTES,
     SHUFFLE_MODES,
@@ -82,8 +76,6 @@ __all__ = [
     "aligned_splits",
     "block_splits",
     "canonical_trace",
-    "decode_batch",
-    "encode_batch",
     "estimate_size",
     "job_emitted_bytes",
     "make_runtime",

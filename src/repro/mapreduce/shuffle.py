@@ -1,26 +1,31 @@
 """The shuffle layer: in-memory partitioning or spill-to-disk external sort.
 
-The runtime registry gained interchangeable *execution* engines in PR 3;
-this module does the same for the *shuffle*.  Two disciplines, selected
-by :class:`ShuffleConfig` (CLI ``--shuffle {memory,external}``):
+Two disciplines, selected by :class:`ShuffleConfig` (CLI ``--shuffle
+{memory,external}``), share one router: :meth:`ShuffleBase.add_records`
+sends each record to the partition ``job.partition`` picks, and hands a
+one-reducer job's whole task output to partition 0 without calling it.
 
-* :class:`MemoryShuffle` — today's behaviour: every partition is a
-  resident python list, appended in map-output order.  Zero overhead,
-  memory proportional to the whole shuffle volume.
+* :class:`MemoryShuffle` — every partition is a resident python list,
+  appended in map-output order.  Zero overhead, memory proportional to
+  the whole shuffle volume.
 * :class:`ExternalShuffle` — Hadoop's external sort: map output is
   buffered per partition up to ``buffer_bytes`` (charged under the serde
   *model*, so the knob means the same thing the Eq. 6 budgets do), then
   each partition's buffer is stable-sorted by the job's sort key and
-  spilled as one columnar record batch (:func:`repro.mapreduce.serde.
-  encode_batch`) — a *run file*.  Reduce input is the k-way merge of a
-  partition's run files plus its unspilled tail, produced in final
-  sorted order.  Driver memory is bounded by ``buffer_bytes`` plus one
-  reduce partition (the reducer-memory side of Afrati et al.'s
-  replication-rate vs reducer-memory trade-off; the replication-rate
-  side is unchanged — the external path moves exactly the same records).
+  spilled as one pickled list — a *run file*.  Reduce input is the k-way
+  merge of a partition's run files plus its unspilled tail, produced in
+  final sorted order.  While map tasks run, the driver buffers at most
+  ``buffer_bytes`` of modeled records plus one task's output; the reduce
+  stage then holds every partition, because :meth:`ExternalShuffle.
+  partitions` merges them all before the first reducer runs.  The
+  replication-rate side of Afrati et al.'s replication-rate vs
+  reducer-memory trade-off is unchanged: the external path moves exactly
+  the same records.
 
 Bit-identity with the in-memory path is a theorem, not an aspiration:
 
+* pickle restores every spilled record exactly (types, NaN payload
+  bits, ints beyond int64), so a run reads back as the list written;
 * runs are filled in global emission order and spilled chronologically,
   so every record of run ``r`` precedes every record of run ``r+1`` in
   emission order;
@@ -37,12 +42,13 @@ Run files live in a private per-job directory created inside
 ``spill_dir`` (or a system temp directory) on first spill and removed by
 :meth:`ShuffleBase.close` — which the runtime calls in a ``finally``, so
 failed task attempts, exhausted retries, and job aborts never leave
-orphaned spill files behind (tested in ``test_job_process_safety.py``).
+orphaned spill files behind (tested in ``test_external_shuffle.py``).
 """
 
 from __future__ import annotations
 
 import heapq
+import pickle
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -51,7 +57,6 @@ from typing import Any
 
 from repro.exceptions import InvalidInputError
 from repro.mapreduce.job import MapReduceJob, reduce_order
-from repro.mapreduce.serde import decode_batch, encode_batch
 
 __all__ = [
     "DEFAULT_BUFFER_BYTES",
@@ -109,15 +114,27 @@ class ShuffleBase:
         #: Spill accounting (external mode only; empty for memory mode so
         #: in-memory and external runs keep bit-identical counters/traces).
         self.stats: dict[str, int] = {}
+        #: Each partition's resident records, in emission order.
+        self._buffers: list[list[tuple[Any, Any]]] = [
+            [] for _ in range(self.num_reducers)
+        ]
 
     def add_records(self, records: list[tuple[Any, Any]], modeled_bytes: int) -> None:
         """Accept one map task's (post-combine) output, in emission order.
 
-        ``modeled_bytes`` is the output's serde-model total
+        Each record joins the buffer of the partition ``job.partition``
+        routes its key to.  With one reducer every record lands in
+        partition 0, so the partitioner is not called.  ``modeled_bytes``
+        is the output's serde-model total
         (:func:`repro.mapreduce.serde.records_size`), which the driver has
         already computed for its own accounting.
         """
-        raise NotImplementedError
+        if self.num_reducers == 1:
+            self._buffers[0].extend(records)
+            return
+        partition = self.job.partition
+        for record in records:
+            self._buffers[partition(record[0], self.num_reducers)].append(record)
 
     def partitions(self) -> list[list[tuple[Any, Any]]]:
         """Materialize every reduce partition, in partition order."""
@@ -125,27 +142,14 @@ class ShuffleBase:
 
     def close(self) -> None:
         """Release buffers and delete any spill files/directories."""
+        self._buffers = []
 
 
 class MemoryShuffle(ShuffleBase):
-    """Resident-list partitioning — byte-for-byte the historical behaviour."""
-
-    def __init__(self, job: MapReduceJob) -> None:
-        super().__init__(job)
-        self._partitions: list[list[tuple[Any, Any]]] = [
-            [] for _ in range(self.num_reducers)
-        ]
-
-    def add_records(self, records: list[tuple[Any, Any]], modeled_bytes: int) -> None:
-        partition = self.job.partition
-        for key, value in records:
-            self._partitions[partition(key, self.num_reducers)].append((key, value))
+    """Resident-list partitioning: the buffers are the partitions."""
 
     def partitions(self) -> list[list[tuple[Any, Any]]]:
-        return self._partitions
-
-    def close(self) -> None:
-        self._partitions = []
+        return self._buffers
 
 
 class ExternalShuffle(ShuffleBase):
@@ -154,9 +158,6 @@ class ExternalShuffle(ShuffleBase):
     def __init__(self, job: MapReduceJob, config: ShuffleConfig) -> None:
         super().__init__(job)
         self.config = config
-        self._buffers: list[list[tuple[Any, Any]]] = [
-            [] for _ in range(self.num_reducers)
-        ]
         self._buffered_bytes = 0
         #: Chronological run files per partition.
         self._runs: list[list[Path]] = [[] for _ in range(self.num_reducers)]
@@ -181,9 +182,7 @@ class ExternalShuffle(ShuffleBase):
         return self._run_dir
 
     def add_records(self, records: list[tuple[Any, Any]], modeled_bytes: int) -> None:
-        partition = self.job.partition
-        for record in records:
-            self._buffers[partition(record[0], self.num_reducers)].append(record)
+        super().add_records(records, modeled_bytes)
         self._buffered_bytes += modeled_bytes
         if self._buffered_bytes >= self.config.buffer_bytes:
             self._spill()
@@ -197,8 +196,10 @@ class ExternalShuffle(ShuffleBase):
                 continue
             spilled = True
             run_index = len(self._runs[partition_id])
-            path = run_dir / f"p{partition_id:05d}-run{run_index:05d}.rprb"
-            encoded = encode_batch(reduce_order(self.job, buffer))
+            path = run_dir / f"p{partition_id:05d}-run{run_index:05d}.pkl"
+            encoded = pickle.dumps(
+                reduce_order(self.job, buffer), protocol=pickle.HIGHEST_PROTOCOL
+            )
             path.write_bytes(encoded)
             self._runs[partition_id].append(path)
             self.stats["spilled_records"] += len(buffer)
@@ -215,8 +216,7 @@ class ExternalShuffle(ShuffleBase):
         merged: list[list[tuple[Any, Any]]] = []
         for partition_id in range(self.num_reducers):
             runs: list[list[tuple[Any, Any]]] = [
-                decode_batch(path.read_bytes())
-                for path in self._runs[partition_id]
+                pickle.loads(path.read_bytes()) for path in self._runs[partition_id]
             ]
             tail = reduce_order(self.job, self._buffers[partition_id])
             if tail:
@@ -237,7 +237,7 @@ class ExternalShuffle(ShuffleBase):
         return merged
 
     def close(self) -> None:
-        self._buffers = []
+        super().close()
         self._runs = []
         if self._run_dir is not None:
             shutil.rmtree(self._run_dir, ignore_errors=True)

@@ -1,16 +1,20 @@
-"""External shuffle + columnar serde: round trips, bit-identity, cleanup.
+"""External shuffle: spill round trips, bit-identity, cleanup, byte accounting.
 
-Four families:
+The families:
 
-* **Codec round trips** — :func:`encode_batch`/:func:`decode_batch`
-  restore records bit-exactly, including exact python types (an external
-  run must not turn synopsis dict keys into numpy ints), heterogeneous
-  key streams, and the pickle fallback; property-tested over generated
-  record batches.
+* **Spill round trips** — records spilled as pickled run files come back
+  from ``partitions()`` bit-exactly and in the memory shuffle's reduce
+  order, including exact python and numpy types (an external run must not
+  turn synopsis dict keys into numpy ints), ints beyond int64, NaN
+  payloads and heterogeneous key streams; property-tested over generated
+  record batches.  A truncated run file raises instead of yielding a
+  shorter partition.
 * **Merge semantics** — a tiny buffer forces many sorted runs, and the
   k-way merge must equal the in-memory ``sorted(...)`` of the same
   partition, including tie order (the stability theorem documented in
   :mod:`repro.mapreduce.shuffle`).
+* **Partition routing** — a one-reducer job never calls its partitioner,
+  on either shuffle.
 * **Differential end-to-end** — DGreedyAbs/DGreedyRel synopses are
   bit-identical between memory and external shuffles, and the file-backed
   out-of-core path (``FileDataset`` + external shuffle + process pool)
@@ -48,11 +52,11 @@ from repro.mapreduce import (
     ShuffleConfig,
     SimulatedCluster,
     block_splits,
-    decode_batch,
-    encode_batch,
     make_runtime,
     record_size,
+    records_size,
 )
+from repro.mapreduce.job import reduce_order
 from repro.mapreduce.runtime import apply_combiner
 from repro.mapreduce.shuffle import ExternalShuffle, MemoryShuffle, make_shuffle
 
@@ -75,13 +79,54 @@ def toy_splits(n: int = 128, split: int = 16):
     return block_splits(np.arange(n, dtype=float), split)
 
 
+class ReprOrdered(MapReduceJob):
+    """Two-reducer job whose sort key is the key's repr, so any key mix sorts."""
+
+    name = "repr-ordered"
+    num_reducers = 2
+
+    def sort_key(self, key):
+        return repr(key)
+
+
+def exact(partitions):
+    """Each record's pickle: equal only for equal types, values and float bits."""
+    return [[pickle.dumps(record) for record in partition] for partition in partitions]
+
+
 class TestCodecRoundTrip:
-    def round_trip(self, records):
-        return decode_batch(encode_batch(records))
+    """Records spilled as pickled runs come back exact and in reduce order.
+
+    ``buffer_bytes=1`` makes every ``add_records`` call spill, so every
+    record reaches ``partitions()`` through a run file.
+    """
+
+    def spill_and_merge(self, records, chunk=7):
+        """``(external partitions, memory partitions in reduce order)``."""
+        job = ReprOrdered()
+        external = ExternalShuffle(job, ShuffleConfig(mode="external", buffer_bytes=1))
+        memory = MemoryShuffle(job)
+        try:
+            for start in range(0, len(records), chunk):
+                batch = records[start : start + chunk]
+                external.add_records(batch, records_size(batch))
+                memory.add_records(batch, records_size(batch))
+            assert external.stats["spills"] == math.ceil(len(records) / chunk)
+            got = external.partitions()
+            want = [reduce_order(job, partition) for partition in memory.partitions()]
+        finally:
+            external.close()
+            memory.close()
+        assert sum(map(len, got)) == len(records)
+        return got, want
+
+    def assert_round_trip(self, records):
+        got, want = self.spill_and_merge(records)
+        assert exact(got) == exact(want)
+        return got, want
 
     def test_homogeneous_scalar_columns(self):
-        records = [(i, float(i) / 3) for i in range(100)]
-        assert self.round_trip(records) == records
+        self.assert_round_trip([(i, float(i) / 3) for i in range(100)])
 
     def test_exact_python_types_preserved(self):
         records = [
@@ -90,30 +135,43 @@ class TestCodecRoundTrip:
             ("key", (1, 2.5, "x")),
             (None, {"a": 1}),
             (np.int64(7), np.float64(2.5)),
-            (1 << 80, -(1 << 80)),  # beyond int64: pickle fallback
+            (1 << 80, -(1 << 80)),  # beyond int64
         ]
-        decoded = self.round_trip(records)
-        assert decoded == records
-        for (key, value), (dkey, dvalue) in zip(records, decoded):
-            assert type(dkey) is type(key)
-            assert type(dvalue) is type(value)
+        got, want = self.assert_round_trip(records)
+        assert got == want
+        for got_partition, want_partition in zip(got, want):
+            for (dkey, dvalue), (key, value) in zip(got_partition, want_partition):
+                assert type(dkey) is type(key)
+                assert type(dvalue) is type(value)
 
     def test_mixed_signature_stream_restores_interleaving(self):
         # Interleaved 4-tuple "hist" and 3-tuple "final" keys, the shape
         # DGreedyAbs's job 1 emitted before it shipped one columnar record
-        # per run: the adversarial mixed-signature case the 'M' column is for.
+        # per run.
         records = []
         for i in range(50):
             records.append((("hist", i, i % 4, float(i)), (i, float(i) / 2)))
             records.append((("final", i, i % 4), float(i)))
-        assert self.round_trip(records) == records
+        self.assert_round_trip(records)
 
     def test_empty_batch(self):
-        assert self.round_trip([]) == []
+        got, want = self.assert_round_trip([])
+        assert got == want == [[], []]
 
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError, match="magic"):
-            decode_batch(b"JUNK" + encode_batch([(1, 2)]))
+    def test_truncated_run_file_raises(self, tmp_path):
+        config = ShuffleConfig(mode="external", spill_dir=str(tmp_path), buffer_bytes=1)
+        shuffle = ExternalShuffle(ReprOrdered(), config)
+        records = [(i, float(i)) for i in range(100)]
+        try:
+            shuffle.add_records(records, records_size(records))
+            run = sorted(tmp_path.rglob("*.pkl"))[0]
+            whole = run.read_bytes()
+            for kept in (1, len(whole) // 2, len(whole) - 1):
+                run.write_bytes(whole[:kept])
+                with pytest.raises(pickle.UnpicklingError, match="truncated"):
+                    shuffle.partitions()
+        finally:
+            shuffle.close()
 
     @given(
         records=st.lists(
@@ -137,16 +195,22 @@ class TestCodecRoundTrip:
     )
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, records):
-        decoded = self.round_trip(records)
-        assert decoded == records
-        for (key, value), (dkey, dvalue) in zip(records, decoded):
-            assert type(dkey) is type(key)
-            assert type(dvalue) is type(value)
+        self.assert_round_trip(records)
 
     def test_nan_payloads_survive_via_bit_pattern(self):
-        records = [(0, float("nan")), (1, math.inf), (2, -math.inf)]
-        decoded = self.round_trip(records)
-        assert pickle.dumps(decoded) == pickle.dumps(records)
+        quiet_nan_with_payload = np.uint64(0x7FF8_0000_0000_1234).view(np.float64).item()
+        records = [
+            (0, float("nan")),
+            (1, math.inf),
+            (2, -math.inf),
+            (3, quiet_nan_with_payload),
+        ]
+        got, _ = self.assert_round_trip(records)
+        merged = sorted(record for partition in got for record in partition)
+        assert [key for key, _ in merged] == [0, 1, 2, 3]
+        spilled_bits = np.array([value for _, value in merged]).view(np.uint64)
+        written_bits = np.array([value for _, value in records]).view(np.uint64)
+        assert spilled_bits.tolist() == written_bits.tolist()
 
 
 class TestMergeSemantics:
@@ -228,6 +292,32 @@ class TestMergeSemantics:
         # A nan buffer never fills, so the shuffle would never spill.
         with pytest.raises(InvalidInputError, match="buffer_bytes"):
             ShuffleConfig(mode="external", buffer_bytes=buffer_bytes)
+
+
+class OneReducer(ModSum):
+    """One-reducer job whose partitioner must never be called."""
+
+    name = "one-reducer"
+    num_reducers = 1
+
+    def partition(self, key, num_reducers):
+        raise AssertionError("a one-reducer job has nothing to route")
+
+
+class TestPartitionRouting:
+    @pytest.mark.parametrize(
+        "shuffle",
+        [None, ShuffleConfig(mode="external", buffer_bytes=64)],
+        ids=["memory", "external"],
+    )
+    def test_one_reducer_job_skips_partitioner(self, shuffle):
+        result = LocalRuntime(shuffle=shuffle).run(OneReducer(), toy_splits())
+        values = range(128)
+        assert result.output == [
+            (key, float(sum(v for v in values if v % 7 == key))) for key in range(7)
+        ]
+        if shuffle is not None:
+            assert result.shuffle_stats["spills"] > 0
 
 
 class TestEndToEndBitIdentity:
