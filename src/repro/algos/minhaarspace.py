@@ -29,7 +29,7 @@ distributed layer instead of from recursion.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +49,7 @@ __all__ = [
     "effective_delta",
     "leaf_row",
     "leaf_rows",
+    "combine_level",
     "combine_rows",
     "combine_rows_scalar",
     "compute_data_subtree_rows",
@@ -65,12 +66,12 @@ __all__ = [
 #: case two sentinels plus one — stay below ``int32`` max.
 INFEASIBLE_COUNT = np.iinfo(np.int32).max // 4
 
-#: Candidate-matrix size (|v domain| * |left row|) below which the scalar
-#: per-``v`` loop beats the windowed kernel: numpy's window setup costs a
-#: handful of array allocations, which only amortize once the batched
-#: reduction covers a few hundred cells (tuned with
+#: Candidate-matrix size (|v domain| * |left row|) up to which the scalar
+#: per-``v`` loop beats the windowed kernel: the windowed kernel's setup
+#: costs ~55 µs whatever the size, the scalar loop ~7 µs per ``v``, and
+#: the two cross between 56 and 72 cells (the ``threshold`` rows of
 #: ``benchmarks/bench_dp_kernel.py``; see docs/ALGORITHMS.md).
-SCALAR_FALLBACK_CELLS = 256
+SCALAR_FALLBACK_CELLS = 64
 
 #: Cells per block of the windowed kernel's ``(v, vl)`` candidate matrix.
 #: Wide rows are processed in chunks this size so the three scratch
@@ -78,6 +79,37 @@ SCALAR_FALLBACK_CELLS = 256
 #: total) stay cache-resident; one full-width pass at fine quantizations
 #: is memory-bound and measurably slower (benchmarks/bench_dp_kernel.py).
 _MAX_BLOCK_CELLS = 1 << 15
+
+#: Nodes a level needs before :func:`combine_level` batches it.  Smaller
+#: levels (a sub-tree's top few) run :func:`combine_rows` per node: there
+#: the batch's fixed cost of a few dozen numpy calls is not repaid (the
+#: ``level_sizes`` rows of ``benchmarks/bench_dp_kernel.py`` time levels
+#: of 1 to 16 nodes both ways; see docs/ALGORITHMS.md).
+_MIN_LEVEL_NODES = 8
+
+#: Combined-row entries per block of :func:`combine_level`, and band
+#: cells per scoring chunk within a block: a level's scratch arrays stay
+#: this size however many nodes the level holds (the centralized solver's
+#: lowest levels hold up to N/4 nodes).  Larger budgets run a little
+#: faster but raise peak RSS: on the e2e build-dp workload these budgets
+#: add 2.0 MiB over the per-node loop, and 2^14 cells added 3.3 MiB.
+_LEVEL_BLOCK_ENTRIES = 1 << 11
+_LEVEL_BLOCK_CELLS = 1 << 13
+
+#: Count-run pairs (left runs x right runs) above which :func:`combine_level`
+#: leaves a node to :func:`combine_rows`.  The level kernel sorts one
+#: record per pair of count levels, so this bounds its pair arrays the
+#: way the block budgets bound the rest: rows near a large tree's root
+#: hold hundreds of runs (118,925 pairs at one node of a centralized
+#: uniform solve at ε = 400, δ = 1, N = 2^12), while the bench's 256-leaf
+#: sub-trees never reach the cap, and solve times are the same with it
+#: or without.
+_MAX_RUN_PAIRS = 1 << 10
+
+#: Offset between nodes in :func:`combine_level`'s sorted keys; above
+#: every count (counts stay below ``INFEASIBLE_COUNT``), every sum of two
+#: counts and every sum of two positions in a row.
+_NODE_KEY = 1 << 31
 
 #: Leaf grid bounds must stay below this magnitude (see :func:`_leaf_domains`).
 _GRID_LIMIT = float(1 << 52)
@@ -644,13 +676,324 @@ def data_pair_rows(values: ArrayLike, epsilon: float, delta: float) -> list[MRow
     return rows
 
 
+def _exclusive_cumsum(sizes: NDArray[np.int64]) -> NDArray[np.int64]:
+    """Offset of each ragged segment in the concatenation of all of them."""
+    offsets = np.zeros(len(sizes), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=offsets[1:])
+    return offsets
+
+
+def _ragged_arange(sizes: NDArray[np.int64]) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """``(owner, rank)`` of every item of ragged segments of ``sizes`` items.
+
+    ``owner`` is the segment of each item and ``rank`` its position in it.
+    """
+    owner = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    rank = np.arange(len(owner), dtype=np.int64) - _exclusive_cumsum(sizes)[owner]
+    return owner, rank
+
+
+class _LevelSide:
+    """One side (all left or all right child rows) of a block of nodes.
+
+    Holds the rows' counts and errors as flat arrays with per-row
+    ``offsets``, the per-row facts that decide which nodes the level
+    kernel may batch, and two key arrays that turn every sublevel-set
+    query into one ``searchsorted``.  ``lo_keys`` is ``row * _NODE_KEY``
+    minus each entry's prefix minimum count and ``hi_keys`` is ``row *
+    _NODE_KEY`` plus its suffix minimum: both ascend through the whole
+    block, so the first entry of row ``r`` with count ``<= a`` and the
+    last one are found for many ``(r, a)`` at once (:meth:`interval`).
+    """
+
+    def __init__(self, rows: Sequence[MRow]) -> None:
+        size = len(rows)
+        self.starts = np.array([row.start for row in rows], dtype=np.int64)
+        self.widths = np.array([len(row) for row in rows], dtype=np.int64)
+        self.offsets = _exclusive_cumsum(self.widths)
+        raw = np.concatenate([row.counts for row in rows])
+        self.errors = np.concatenate([row.errors for row in rows])
+        self.count_min = np.minimum.reduceat(raw, self.offsets).astype(np.int64)
+        self.count_max = np.maximum.reduceat(raw, self.offsets).astype(np.int64)
+        error_min = np.minimum.reduceat(self.errors, self.offsets)
+        self.error_max = np.maximum.reduceat(self.errors, self.offsets)
+        # Clipped so that one row's keys cannot reach into its neighbours'.
+        self.counts = np.clip(raw, 0, INFEASIBLE_COUNT).astype(np.int64)
+        owner = np.repeat(np.arange(size, dtype=np.int64), self.widths)
+        node_keys = owner * _NODE_KEY
+        self.lo_keys = -np.minimum.accumulate(self.counts - node_keys)
+        self.hi_keys = np.minimum.accumulate((self.counts + node_keys)[::-1])[::-1]
+        # A peak is an entry above both its prefix and its suffix minimum;
+        # a row without one is U-shaped, so its sublevel sets are intervals.
+        peaks = (self.counts + self.lo_keys > node_keys) & (
+            self.counts + node_keys > self.hi_keys
+        )
+        run_starts = np.ones(len(raw), dtype=bool)
+        np.not_equal(self.counts[1:], self.counts[:-1], out=run_starts[1:])
+        run_starts[self.offsets] = True
+        self.run_keys = node_keys[run_starts] + self.counts[run_starts]
+        self.runs = np.bincount(owner[run_starts], minlength=size)
+        # Every entry feasible, every error finite and non-negative (NaN
+        # fails both comparisons), every count a real one, no peak.
+        self.usable = (
+            (self.count_min >= 0)
+            & (self.count_max < INFEASIBLE_COUNT)
+            & (error_min >= 0.0)
+            & (self.error_max < np.inf)
+            & ~np.logical_or.reduceat(peaks, self.offsets)
+        )
+
+    def interval(
+        self, owner: NDArray[np.int64], level: NDArray[np.int64]
+    ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+        """First and last position in row ``owner`` whose count is ``<= level``."""
+        keys = owner * _NODE_KEY
+        base = self.offsets[owner]
+        lo = np.searchsorted(self.lo_keys, keys - level) - base
+        hi = np.searchsorted(self.hi_keys, keys + level, side="right") - 1 - base
+        return lo, hi
+
+    def levels(self, batched: NDArray[np.bool_]) -> tuple[
+        NDArray[np.int64],
+        NDArray[np.int64],
+        NDArray[np.int64],
+        NDArray[np.int64],
+        NDArray[np.int64],
+    ]:
+        """Distinct counts of the ``batched`` rows, with their sublevel intervals.
+
+        Returns ``(level, lo, hi, first, per_row)``: the levels sorted by
+        row, then count; row ``r``'s run from index ``first[r]`` and hold
+        ``per_row[r]`` of them (0 for rows not batched).
+        """
+        keys = np.unique(self.run_keys[batched[self.run_keys // _NODE_KEY]])
+        owner = keys // _NODE_KEY
+        level = keys - owner * _NODE_KEY
+        lo, hi = self.interval(owner, level)
+        per_row = np.bincount(owner, minlength=len(self.widths))
+        return level, lo, hi, _exclusive_cumsum(per_row), per_row
+
+
+def combine_level(
+    lefts: Sequence[MRow], rights: Sequence[MRow], epsilon: float, delta: float
+) -> list[MRow]:
+    """Combine one error-tree level: node ``i`` joins ``lefts[i]`` and ``rights[i]``.
+
+    Row ``i`` is ``combine_rows(lefts[i], rights[i])`` bit for bit, and a
+    node whose combine fails raises the same error as the per-node loop
+    would, from the same (lowest failing) node.  A level of fewer than
+    :data:`_MIN_LEVEL_NODES` nodes runs :func:`combine_rows` per node;
+    a larger one goes through :func:`_batch_level`.
+    """
+    if len(lefts) < _MIN_LEVEL_NODES:
+        return [combine_rows(left, right, epsilon, delta) for left, right in zip(lefts, rights)]
+    return _batch_level(lefts, rights, epsilon, delta)
+
+
+def _batch_level(
+    lefts: Sequence[MRow], rights: Sequence[MRow], epsilon: float, delta: float
+) -> list[MRow]:
+    """:func:`combine_level` through the level kernel, whatever the level's size.
+
+    Most nodes run in one batched, exact pass over flat per-level arrays
+    (:func:`_combine_block`), in blocks of at most
+    :data:`_LEVEL_BLOCK_ENTRIES` combined-row entries, so scratch memory
+    stays bounded however wide the level is; every node whose rows fall
+    outside the batch's argument runs :func:`combine_rows`, in ascending
+    node order.
+    """
+    rows: list[MRow | None] = [None] * len(lefts)
+    weight = _lexicographic_weight(epsilon, delta)
+    for block in _level_blocks(lefts, rights):
+        settled = _combine_block(
+            [lefts[node] for node in block], [rights[node] for node in block], weight
+        )
+        for node, row in zip(block, settled):
+            rows[node] = row
+    return [
+        row if row is not None else combine_rows(left, right, epsilon, delta)
+        for row, left, right in zip(rows, lefts, rights)
+    ]
+
+
+def _level_blocks(lefts: Sequence[MRow], rights: Sequence[MRow]) -> Iterator[list[int]]:
+    """Nodes of a level in ascending blocks of at most ``_LEVEL_BLOCK_ENTRIES`` entries.
+
+    A node whose combined domain is empty (it raises) or whose rows are
+    empty (they have no count levels) joins no block: it is left to
+    :func:`combine_rows`.  A node wider than the budget is a block alone.
+    """
+    block: list[int] = []
+    entries = 0
+    for node, (left, right) in enumerate(zip(lefts, rights)):
+        wl, wr = len(left), len(right)
+        # _combined_domain's ceil and floor of half sums, in integers.
+        width = (left.start + right.start + wl + wr - 2) // 2 - (
+            left.start + right.start + 1
+        ) // 2 + 1
+        if width < 1 or wl < 1 or wr < 1 or wl + wr >= _NODE_KEY:
+            continue
+        if block and entries + width > _LEVEL_BLOCK_ENTRIES:
+            yield block
+            block, entries = [], 0
+        block.append(node)
+        entries += width
+    if block:
+        yield block
+
+
+def _combine_block(
+    lefts: Sequence[MRow], rights: Sequence[MRow], weight: float
+) -> list[MRow | None]:
+    """The level kernel over one block: node ``i``'s row, or ``None`` if left out.
+
+    Write ``P[v] = min(cl[vl] + cr[2v − vl])`` for the least pair count
+    at incoming ``v``.  Every pairing but ``z = 0`` pays one coefficient,
+    and a score ``count·weight + error`` ranks count first whenever the
+    weight keeps consecutive counts apart in float64 (checked per node),
+    so the row's entry is
+
+    * ``z = 0`` itself when its pair count is ``P[v]`` — count ``P[v]``;
+    * otherwise the first minimum score among the pairings of count
+      ``P[v] + 1``: those of pair count ``P[v]``, and ``z = 0`` when its
+      pair count is ``P[v] + 1``.  All share one count, so the float
+      score is monotone in the error and only these cells are scored.
+
+    ``P`` comes from count sublevel sets.  When both rows' counts are
+    U-shaped (no peak), each set ``{count <= a}`` is an interval holding
+    the row's minima, so the pairings of sum ``<= t`` reach exactly the
+    ``v`` with ``2v`` between the least lower and the greatest upper
+    interval sum of the level pairs ``(a, b)`` with ``a + b <= t``.
+    Sorting a node's level pairs by sum, a running min and max of those
+    interval sums and two ``searchsorted`` calls give ``P`` for every
+    entry.  A pairing of pair count ``P`` needs ``cl <= P − min cr`` and
+    ``cr <= P − min cl``: one interval of ``vl`` per entry, the only
+    cells scored.
+
+    A node is left out (``None``) unless both rows are U-shaped, wholly
+    feasible (finite non-negative errors), within :data:`_MAX_RUN_PAIRS`
+    count-run pairs, and its weight exceeds the largest error by more
+    than float64 rounding of the largest score.
+    """
+    left = _LevelSide(lefts)
+    right = _LevelSide(rights)
+    # Rounding of fl(fl(c·w) + e) stays below 2**-51 · (c + 1) · w for
+    # 0 <= e < w, so count c + 1 scores above any error at count c when
+    # the weight beats the largest error by this much (with room to spare).
+    apart = weight - np.maximum(left.error_max, right.error_max) > (
+        2.0**-50 * (left.count_max + right.count_max + 2) * weight
+    )
+    batched = left.usable & right.usable & apart & (left.runs * right.runs <= _MAX_RUN_PAIRS)
+    out: list[MRow | None] = [None] * len(lefts)
+    if not batched.any():
+        return out
+
+    # Level pairs of every batched node, sorted by (node, pair count).
+    left_level, left_lo, left_hi, left_first, left_levels = left.levels(batched)
+    right_level, right_lo, right_hi, right_first, right_levels = right.levels(batched)
+    pair_owner, rank = _ragged_arange(left_levels * right_levels)
+    across = right_levels[pair_owner]
+    li = left_first[pair_owner] + rank // across
+    ri = right_first[pair_owner] + rank % across
+    pair_keys = pair_owner * _NODE_KEY
+    order = np.argsort(pair_keys + left_level[li] + right_level[ri])
+    li, ri = li[order], ri[order]
+    pair_counts = left_level[li] + right_level[ri]
+    # Both key arrays ascend through the block (see _LevelSide).
+    reach_lo = -np.minimum.accumulate(left_lo[li] + right_lo[ri] - pair_keys)
+    reach_hi = np.maximum.accumulate(left_hi[li] + right_hi[ri] + pair_keys)
+
+    # Every entry v of every batched node; x = 2v − (left start + right start).
+    v_start = (left.starts + right.starts + 1) // 2
+    v_stop = (left.starts + right.starts + left.widths + right.widths - 2) // 2
+    widths = np.where(batched, v_stop - v_start + 1, 0)
+    owner, rank = _ragged_arange(widths)
+    v = v_start[owner] + rank
+    x = 2 * v - (left.starts + right.starts)[owner]
+    keys = owner * _NODE_KEY
+    least = pair_counts[
+        np.maximum(np.searchsorted(reach_lo, keys - x), np.searchsorted(reach_hi, keys + x))
+    ]
+
+    # z = 0: vl = vr = v, when v lies in both rows.
+    zl = v - left.starts[owner]
+    zr = v - right.starts[owner]
+    inside = (zl >= 0) & (zl < left.widths[owner]) & (zr >= 0) & (zr < right.widths[owner])
+    at_left = left.offsets[owner] + np.clip(zl, 0, left.widths[owner] - 1)
+    at_right = right.offsets[owner] + np.clip(zr, 0, right.widths[owner] - 1)
+    zero_counts = left.counts[at_left] + right.counts[at_right]
+    zero_errors = np.maximum(left.errors[at_left], right.errors[at_right])
+    settled = inside & (zero_counts == least)
+    ties = inside & (zero_counts == least + 1)
+    counts = (least + ~settled).astype(np.int32)
+    errors = zero_errors.copy()
+    choices = v.copy()
+
+    # The rest score the band where a pairing can still reach pair count
+    # least: cl <= least - min cr and cr <= least - min cl.
+    pending = np.flatnonzero(~settled)
+    p_owner, p_least, p_x = owner[pending], least[pending], x[pending]
+    band_lo, band_hi = left.interval(p_owner, p_least - right.count_min[p_owner])
+    right_lo, right_hi = right.interval(p_owner, p_least - left.count_min[p_owner])
+    band_lo = np.maximum(band_lo, p_x - right_hi)
+    cells = np.minimum(band_hi, p_x - right_lo) - band_lo + 1
+    # Flat position of each band's first cell in both rows; as vl ascends
+    # through the band, the right position descends.
+    left_at = left.offsets[p_owner] + band_lo
+    right_at = right.offsets[p_owner] + p_x - band_lo
+    paid = (p_least + 1) * weight
+    reached = np.cumsum(cells)
+    begin = 0
+    while begin < len(pending):
+        done = int(reached[begin - 1]) if begin else 0
+        stop = max(
+            begin + 1, int(np.searchsorted(reached, done + _LEVEL_BLOCK_CELLS, side="right"))
+        )
+        chunk = slice(begin, stop)
+        sizes = cells[chunk]
+        first = _exclusive_cumsum(sizes)
+        step = np.arange(int(reached[stop - 1]) - done, dtype=np.int64)
+        at_left = np.repeat(left_at[chunk] - first, sizes) + step
+        at_right = np.repeat(right_at[chunk] + first, sizes) - step
+        cell_errors = np.maximum(left.errors[at_left], right.errors[at_right])
+        # The windowed kernel's score of a paid pairing.  Cells of a larger
+        # pair count (vl = v among them) score above every cell of count
+        # least, so they never win.
+        scores = (left.counts[at_left] + right.counts[at_right] + 1) * weight + cell_errors
+        # First minimum of every band: the smallest vl wins ties.
+        low = np.minimum.reduceat(scores, first)
+        hits = np.flatnonzero(scores == np.repeat(low, sizes))
+        pick = hits[np.searchsorted(hits, first)]
+        vl = band_lo[chunk] + pick - first
+        entries = pending[chunk]
+        # z = 0 competes when its pair count is least + 1.
+        zero_scores = paid[chunk] + zero_errors[entries]
+        zero = ties[entries] & (
+            (zero_scores < low) | ((zero_scores == low) & (zl[entries] < vl))
+        )
+        errors[entries] = np.where(zero, zero_errors[entries], cell_errors[pick])
+        choices[entries] = np.where(zero, v[entries], left.starts[p_owner[chunk]] + vl)
+        begin = stop
+
+    firsts = _exclusive_cumsum(widths)
+    for node in np.flatnonzero(batched).tolist():
+        entry = slice(int(firsts[node]), int(firsts[node] + widths[node]))
+        out[node] = MRow(
+            start=int(v_start[node]),
+            counts=counts[entry],
+            errors=errors[entry],
+            choices=choices[entry],
+        )
+    return out
+
+
 def _run_levels(
     level: Sequence[MRow],
     epsilon: float,
     delta: float,
     rows: list[MRow | None] | None = None,
 ) -> list[MRow | None]:
-    """Walk a sub-tree level by level, bottom-up, in ascending node order.
+    """Walk a sub-tree level by level, bottom-up, one :func:`combine_level` each.
 
     Node ``j`` of a level combines the rows of nodes ``2j`` and ``2j + 1``
     from the level below, so infeasibility deterministically surfaces
@@ -669,9 +1012,7 @@ def _run_levels(
     level = list(level)
     size = len(level) // 2
     while size >= 1:
-        level = [
-            combine_rows(level[2 * i], level[2 * i + 1], epsilon, delta) for i in range(size)
-        ]
+        level = combine_level(level[0::2], level[1::2], epsilon, delta)
         rows[size : 2 * size] = level
         size //= 2
     sanitizer = sanitizer_current()

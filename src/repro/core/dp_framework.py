@@ -76,6 +76,20 @@ class _BottomUpResult:
     row_store: dict[tuple[int, int], list]
 
 
+@dataclass(frozen=True)
+class _SubtreeTraceback:
+    """One sub-tree's top-down output and the incoming value it came from.
+
+    ``coefficients`` are the ``(global node, value)`` pairs it selected;
+    ``child_incomings`` the ``(child sub-tree root, incoming value)``
+    pairs it forwarded to the layer below (none at the bottom layer).
+    """
+
+    incoming: int
+    coefficients: list[tuple[int, float]]
+    child_incomings: list[tuple[int, int]]
+
+
 @dataclass
 class DPRowCache:
     """Per-sub-tree DP state retained across incremental rebuilds.
@@ -88,17 +102,26 @@ class DPRowCache:
     bit-identical to what a from-scratch run would recompute —
     the exactness argument of the serving layer's incremental rebuild
     (docs/SERVING.md).  Entries for sub-trees marked dirty are simply
-    overwritten; the cache never needs explicit invalidation beyond
-    :meth:`clear` on a full reset (e.g. when ``N`` grows).
+    overwritten; beyond :meth:`clear` on a full reset (e.g. when ``N``
+    grows), the only invalidation is of ``tracebacks``.
+
+    ``tracebacks`` keeps each distributed sub-tree's last top-down
+    output under the same key.  It is a pure function of the sub-tree's
+    rows and its incoming value, so :meth:`LayeredDPDriver.bottom_up`
+    drops the entries of the sub-trees it recomputes, and
+    :meth:`LayeredDPDriver.top_down` reuses an entry whose incoming value
+    is unchanged.
     """
 
     rows: dict[tuple[int, int], list[MRow | None]] = field(default_factory=dict)
     emits: dict[tuple[int, int], MRow] = field(default_factory=dict)
+    tracebacks: dict[tuple[int, int], _SubtreeTraceback] = field(default_factory=dict)
 
     def clear(self) -> None:
         """Drop all cached state (the next build recomputes everything)."""
         self.rows.clear()
         self.emits.clear()
+        self.tracebacks.clear()
 
 
 #: Serde bytes of one bottom-up layer record beyond its M-row payload:
@@ -155,32 +178,44 @@ class _BottomUpLayerJob(MapReduceJob):
 
 
 class _TopDownLayerJob(MapReduceJob):
-    """Coefficient selection: re-enter each sub-tree with its incoming value."""
+    """Coefficient selection: re-enter each sub-tree with its incoming value.
 
-    #: Reads the driver-side row store filled by the bottom-up pass.
+    Each map task also records its sub-tree's output in the driver-side
+    ``tracebacks`` store, for :meth:`LayeredDPDriver.top_down` to reuse.
+    """
+
+    #: Reads the driver-side row store filled by the bottom-up pass and
+    #: writes the driver-side traceback store.
     process_safe = False
 
     stage_label = "dp.traceback"
 
-    def __init__(
-        self, delta: float, layer: Layer, row_store: dict[tuple[int, int], list[MRow | None]]
-    ) -> None:
+    def __init__(self, delta: float, layer: Layer, cache: DPRowCache) -> None:
         self.delta = delta
         self.layer = layer
-        self.row_store = row_store
+        self.cache = cache
         self.name = f"dp-traceback-{layer.index}"
         self.num_reducers = 0
 
     def map(self, split: InputSplit) -> Iterator[tuple[Any, Any]]:
         spec = split.meta["spec"]
         incoming = split.meta["incoming"]
-        rows = self.row_store[(self.layer.index, spec.root)]
-        assignments, leaf_incomings = traceback_subtree(rows, incoming, self.delta)
-        for local_node, value in assignments.items():
-            yield "coef", (local_to_global(spec.root, local_node), value)
-        if not self.layer.is_bottom:
-            for child_root, child_incoming in zip(spec.child_roots(), leaf_incomings):
-                yield "incoming", (child_root, child_incoming)
+        key = (self.layer.index, spec.root)
+        assignments, leaf_incomings = traceback_subtree(
+            self.cache.rows[key], incoming, self.delta
+        )
+        coefficients = [
+            (local_to_global(spec.root, local_node), value)
+            for local_node, value in assignments.items()
+        ]
+        child_incomings = (
+            [] if self.layer.is_bottom else list(zip(spec.child_roots(), leaf_incomings))
+        )
+        self.cache.tracebacks[key] = _SubtreeTraceback(incoming, coefficients, child_incomings)
+        for coefficient in coefficients:
+            yield "coef", coefficient
+        for child_incoming in child_incomings:
+            yield "incoming", child_incoming
 
 
 class LayeredDPDriver:
@@ -255,6 +290,9 @@ class LayeredDPDriver:
             dirty_layers = [layer.subtrees for layer in layers]
         else:
             dirty_layers = dirty_subtrees(plan, dirty_range[0], dirty_range[1])
+        for layer, dirty in zip(layers, dirty_layers):
+            for spec in dirty:
+                cache.tracebacks.pop((layer.index, spec.root), None)
 
         bottom = layers[0]
         leaf_count = bottom.subtrees[0].leaf_count
@@ -316,8 +354,17 @@ class LayeredDPDriver:
         assert top_row is not None
         return _BottomUpResult(top_row=top_row, row_store=cache.rows)
 
-    def top_down(self, data_length: int, row_store: dict, root_incoming: int) -> dict[int, float]:
-        """Select the synopsis coefficients layer by layer, top to bottom."""
+    def top_down(
+        self, data_length: int, cache: DPRowCache, root_incoming: int
+    ) -> dict[int, float]:
+        """Select the synopsis coefficients layer by layer, top to bottom.
+
+        ``cache`` holds the rows :meth:`bottom_up` filled.  A distributed
+        sub-tree whose cached traceback was entered with the same incoming
+        value runs no map task: its cached coefficients and child incoming
+        values are used, so an incremental rebuild re-enters only the
+        sub-trees it recomputed and those whose incoming value changed.
+        """
         plan = self._plan(data_length)
         layers = plan.layers()
         assignments: dict[int, float] = {}
@@ -328,7 +375,7 @@ class LayeredDPDriver:
                 spec = layer.subtrees[0]
                 with self.cluster.driver():
                     local_assignments, leaf_incomings = traceback_subtree(
-                        row_store[(layer.index, spec.root)], incomings[spec.root], self.delta
+                        cache.rows[(layer.index, spec.root)], incomings[spec.root], self.delta
                     )
                 for local_node, value in local_assignments.items():
                     assignments[local_to_global(spec.root, local_node)] = float(value)
@@ -337,25 +384,34 @@ class LayeredDPDriver:
                     incomings[int(child_root)] = int(child_incoming)
                 continue
             splits = []
-            for i, spec in enumerate(layer.subtrees):
+            reused = []
+            for spec in layer.subtrees:
+                incoming = incomings[spec.root]
+                cached = cache.tracebacks.get((layer.index, spec.root))
+                if cached is not None and cached.incoming == incoming:
+                    reused.append(cached)
+                    continue
                 splits.append(
                     InputSplit(
-                        split_id=i,
+                        split_id=len(splits),
                         offset=0,
                         values=np.empty(0),
-                        meta={"spec": spec, "incoming": incomings[spec.root]},
+                        meta={"spec": spec, "incoming": incoming},
                     )
                 )
-            job = _TopDownLayerJob(self.delta, layer, row_store)
-            result = self.cluster.run_job(job, splits)
             incomings = {}
-            for kind, payload in result.output:
-                if kind == "coef":
-                    node, value = payload
-                    assignments[int(node)] = float(value)
-                else:
-                    child_root, child_incoming = payload
-                    incomings[int(child_root)] = int(child_incoming)
+            if splits:
+                result = self.cluster.run_job(_TopDownLayerJob(self.delta, layer, cache), splits)
+                for kind, payload in result.output:
+                    if kind == "coef":
+                        node, value = payload
+                        assignments[int(node)] = float(value)
+                    else:
+                        child_root, child_incoming = payload
+                        incomings[int(child_root)] = int(child_incoming)
+            for entry in reused:
+                assignments.update(entry.coefficients)
+                incomings.update(entry.child_incomings)
         return assignments
 
     def solve(
@@ -374,6 +430,8 @@ class LayeredDPDriver:
         :meth:`bottom_up`.  Both passes run in one runtime session.
         """
         values = np.asarray(data, dtype=np.float64)
+        if cache is None:
+            cache = DPRowCache()
         with self.cluster.runtime.session():
             result = self.bottom_up(values, cache, dirty_range)
             with self.cluster.driver():
@@ -384,9 +442,7 @@ class LayeredDPDriver:
             if construct:
                 if chosen != 0:
                     coefficients[0] = chosen * self.delta
-                coefficients.update(
-                    self.top_down(len(values), result.row_store, chosen)
-                )
+                coefficients.update(self.top_down(len(values), cache, chosen))
         return size, error, coefficients
 
 

@@ -127,6 +127,28 @@ class TestDPDifferential:
         )
         _assert_guarantee(store, "s", full)
 
+    def test_top_down_reenters_only_changed_subtrees(self):
+        # N = 256 with 8-leaf sub-trees: 32 bottom, 4 middle and 1 top
+        # sub-tree.  Rewriting leaves [40, 44) dirties one sub-tree per
+        # layer; the top-down pass must re-enter those and the sub-trees
+        # whose incoming value moved, and reuse the rest unchanged.
+        rng = np.random.default_rng(3)
+        data = np.round(rng.normal(50.0, 10.0, 256))
+        cluster = SimulatedCluster()
+        maintainer = DPMaintainer(epsilon=4.0, subtree_leaves=8)
+        maintainer.build(data, cluster=cluster)
+        data[40:44] = [90.0, 10.0, 85.0, 5.0]
+        first_job = len(cluster.log.jobs)
+        synopsis, _ = maintainer.build(data, (40, 44), cluster)
+        reentered = [
+            len(job.map_task_seconds)
+            for job in cluster.log.jobs[first_job:]
+            if job.trace.stage_label == "dp.traceback"
+        ]
+        scratch, _ = DPMaintainer(epsilon=4.0, subtree_leaves=8).build(data)
+        assert dict(synopsis.coefficients) == dict(scratch.coefficients)
+        assert 3 <= sum(reentered) < 37
+
     def test_derived_error_target_is_honored(self):
         rng = np.random.default_rng(5)
         data = rng.normal(20, 6, 60)
